@@ -1,8 +1,8 @@
 // kernel_suite — self-contained timing harness for the completion hot-path
-// kernels (sparse MTTKRP, the fused ALS sweep, batched CPR inference). It is
-// the perf-tracked core of the cpr_bench regression gate: unlike
-// micro_kernels it needs no google-benchmark, so it is always built and its
-// case set is stable across machines.
+// kernels (sparse MTTKRP, the ALS sweep and its fused Gram+RHS assembly,
+// batched CPR inference). It is the perf-tracked core of the cpr_bench
+// regression gate: unlike micro_kernels it needs no google-benchmark, so it
+// is always built and its case set is stable across machines.
 //
 // Each case is auto-calibrated to a minimum wall time and reports the
 // minimum per-iteration seconds over --repeats runs (the low-noise
@@ -19,6 +19,7 @@
 //   --filter=<substr>  run only cases whose name contains <substr>
 //   --seed=<n>         dataset seed (default 1)
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <functional>
@@ -34,6 +35,7 @@
 #include "grid/discretization.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
+#include "linalg/fused.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/qr_tiled.hpp"
@@ -135,9 +137,9 @@ int main(int argc, char** argv) {
         << "usage: kernel_suite [--json=<path>] [--repeats=5] [--min-time-ms=50]\n"
            "                    [--filter=<substr>] [--seed=1]\n\n"
            "Times the completion hot-path kernels (MTTKRP, ALS sweep,\n"
-           "predict_batch) under the ambient CPR_KERNEL mode plus pinned\n"
-           "serial/blocked variants, and writes perf records for the\n"
-           "cpr_bench regression gate.\n\n"
+           "Gram+RHS, predict_batch) under the ambient CPR_KERNEL mode\n"
+           "plus pinned serial/blocked variants, and writes perf records\n"
+           "for the cpr_bench regression gate.\n\n"
            "  --json=<path>      write perf records (suite/case/seconds/model_bytes)\n"
            "  --repeats=<n>      timing repetitions per case (default: 5)\n"
            "  --min-time-ms=<n>  minimum timed interval per repetition (default: 50)\n"
@@ -218,6 +220,51 @@ int main(int argc, char** argv) {
       KernelModeGuard guard;
       set_kernel_mode(KernelMode::Serial);
       harness.run("als_sweep_serial/rank8", sweep);
+    }
+
+    // --- fused Gram+RHS over one fit-mm-shaped slice ---------------------
+    {
+      // One factor row's normal equations at the fit-mm shape (64^3 cells,
+      // ~103k observations, rank 16): ~1,600 Hadamard rows in 64-row tiles.
+      constexpr std::size_t kRank = 16;
+      constexpr std::size_t kSlice = 1600;
+      constexpr std::size_t kTile = 64;
+      Rng rng(seed + 6);
+      std::vector<double> z(kSlice * kRank);
+      std::vector<double> w(kSlice);
+      for (auto& v : z) v = rng.normal();
+      for (auto& v : w) v = rng.normal();
+      linalg::Matrix gram(kRank, kRank);
+      linalg::Vector rhs(kRank);
+      const auto assemble = [&] {
+        gram.fill(0.0);
+        std::fill(rhs.begin(), rhs.end(), 0.0);
+        for (std::size_t first = 0; first < kSlice; first += kTile) {
+          const std::size_t n = std::min(kTile, kSlice - first);
+          linalg::fused_gram_rhs(z.data() + first * kRank, w.data() + first, n, kRank,
+                                 gram, rhs);
+        }
+      };
+      // Bitwise cross-check against the per-entry scalar assembly.
+      assemble();
+      linalg::Matrix gram_ref(kRank, kRank, 0.0);
+      linalg::Vector rhs_ref(kRank, 0.0);
+      for (std::size_t b = 0; b < kSlice; ++b) {
+        const double* zb = z.data() + b * kRank;
+        for (std::size_t r = 0; r < kRank; ++r) {
+          rhs_ref[r] += w[b] * zb[r];
+          for (std::size_t s = r; s < kRank; ++s) gram_ref(r, s) += zb[r] * zb[s];
+        }
+      }
+      for (std::size_t r = 0; r < kRank; ++r) {
+        bool equal = rhs[r] == rhs_ref[r];
+        for (std::size_t s = r; s < kRank; ++s) equal = equal && gram(r, s) == gram_ref(r, s);
+        if (!equal) {
+          std::cerr << "error: fused Gram+RHS diverged from the scalar assembly\n";
+          return 1;
+        }
+      }
+      harness.run("gram_rhs/rank16", assemble);
     }
 
     // --- batched CPR inference ------------------------------------------

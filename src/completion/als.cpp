@@ -82,8 +82,10 @@ CompletionReport als_complete(const tensor::SparseTensor& t, tensor::CpModel& mo
         std::vector<double> z_tile(blocked ? kTile * rank : 0);
         std::vector<double> w_tile(blocked ? kTile : 0);
         std::vector<double> z(blocked ? 0 : rank);
+        // One row per grab: each row is a whole slice solve, and a mode of
+        // 8 cells must still spread over every thread.
 #ifdef CPR_HAVE_OPENMP
-#pragma omp for schedule(dynamic, 4)
+#pragma omp for schedule(dynamic, 1)
 #endif
         for (std::size_t i = 0; i < n_rows; ++i) {
           const auto& entries = slices.entries(mode, i);

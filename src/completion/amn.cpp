@@ -15,7 +15,7 @@ double mlogq2_objective(const tensor::SparseTensor& t, const tensor::CpModel& mo
 #pragma omp parallel for schedule(static) reduction(+ : total)
 #endif
   for (std::size_t e = 0; e < t.nnz(); ++e) {
-    const double prediction = model.eval(t.entry_index(e));
+    const double prediction = tensor::eval_entry(model, t, e);
     if (prediction <= 0.0) {
       total += 1e12;  // outside the positive orthant: effectively infinite
       continue;

@@ -19,7 +19,7 @@ CompletionReport ccd_complete(const tensor::SparseTensor& t, tensor::CpModel& mo
   // residual[e] = t_e - t̂_e, maintained incrementally across scalar updates.
   std::vector<double> residual(t.nnz());
   for (std::size_t e = 0; e < t.nnz(); ++e) {
-    residual[e] = t.value(e) - model.eval(t.entry_index(e));
+    residual[e] = t.value(e) - tensor::eval_entry(model, t, e);
   }
 
   CompletionReport report;

@@ -97,7 +97,7 @@ double generalized_objective(const tensor::SparseTensor& t, const tensor::CpMode
                              double regularization) {
   double total = 0.0;
   for (std::size_t e = 0; e < t.nnz(); ++e) {
-    const double prediction = model.eval(t.entry_index(e));
+    const double prediction = tensor::eval_entry(model, t, e);
     const double value = Loss::value(t.value(e), prediction);
     total += std::isfinite(value) ? value : 1e12;
   }

@@ -6,10 +6,15 @@
 // the ridge-regularized normal equations, where Z packs the Hadamard rows of
 // the row's observed entries. Calling syrk_tn + gemv_t separately streams Z
 // twice; this kernel fuses both products into a single pass over the row
-// block, with the rank loops vectorized over restrict-qualified pointers.
-// Per output element the accumulation order over block rows is the packed
-// order, so assembling a row's entries tile-by-tile reproduces the scalar
-// reference (one entry at a time) bitwise.
+// block. The upper triangle of G is cut into 4x8 (then 4x4) register
+// blocks; each block is loaded once, every row of the block streams through
+// it, and it is stored once, so a tile costs one load and store per Gram
+// element instead of one per element per row. Within a block each element
+// still adds z_r * z_s for the rows in ascending order, the exact sequence
+// of the per-entry scalar assembly, so assembling a row's entries
+// tile-by-tile reproduces that reference bitwise. Ranks that are not a
+// multiple of the block fall back to an in-place scalar edge with the same
+// order.
 
 #include <cstddef>
 
@@ -28,9 +33,12 @@ namespace cpr::linalg {
 ///               is written — mirror it after the final tile.
 /// \param rhs    accumulated right-hand side.
 ///
-/// Contributions accumulate row-by-row in block order: element (r, s) of
-/// `gram` receives z[b*rank+r] * z[b*rank+s] for b = 0..n_rows-1 in that
-/// exact order, matching the per-entry scalar assembly bitwise.
+/// Each element accumulates in ascending block-row order: (r, s) of `gram`
+/// receives z[b*rank+r] * z[b*rank+s] and rhs[r] receives
+/// w[b] * z[b*rank+r] for b = 0..n_rows-1, each product rounded and added in
+/// that order (the TU is built with -ffp-contract=off). Register blocking
+/// changes when an element is loaded and stored, never that sequence, so the
+/// result matches the per-entry scalar assembly bitwise at every rank.
 void fused_gram_rhs(const double* z, const double* w, std::size_t n_rows,
                     std::size_t rank, Matrix& gram, Vector& rhs);
 

@@ -1,8 +1,11 @@
 #include "tensor/mttkrp.hpp"
 
+#include <algorithm>
+
 #include "obs/profile.hpp"
 #include "tensor/mttkrp_blocked.hpp"
 #include "util/kernel_mode.hpp"
+#include "util/simd.hpp"
 
 #ifdef CPR_HAVE_OPENMP
 #include <omp.h>
@@ -95,14 +98,82 @@ void sparse_mttkrp(const SparseTensor& t, const CpModel& model, std::size_t mode
   accumulate_entries(t, model, mode, rank, 0, t.nnz(), out);
 }
 
-double sq_residual_observed(const SparseTensor& t, const CpModel& model) {
+namespace {
+
+/// Mode count the stack row-pointer arrays below hold (hadamard_block's bound).
+constexpr std::size_t kMaxOrder = 64;
+
+/// Gathers the fp64 factor bases once per call; rows are then addressed as
+/// bases[j] + index * rank without re-checking each factor per entry.
+void factor_bases(const CpModel& model, const double** bases) {
+  CPR_CHECK_MSG(model.order() <= kMaxOrder, "CP evaluation supports tensors up to order 64");
+  for (std::size_t j = 0; j < model.order(); ++j) bases[j] = model.factor(j).data();
+}
+
+/// CpModel::eval's exact multiply and add sequence at entry e: per
+/// component r, product = 1.0 times U_j(i_j, r) for j ascending; the
+/// components summed into `total` for r ascending. The products run
+/// vectorized over a block of components, the sum stays a serial chain.
+inline double entry_value(const double* const* bases, std::size_t order,
+                          std::size_t rank, const SparseTensor& t, std::size_t e) {
+  constexpr std::size_t kLanes = 16;
+  const double* rows[kMaxOrder];
+  for (std::size_t j = 0; j < order; ++j) rows[j] = bases[j] + t.index(e, j) * rank;
   double total = 0.0;
+  for (std::size_t r0 = 0; r0 < rank; r0 += kLanes) {
+    const std::size_t n = std::min(kLanes, rank - r0);
+    double product[kLanes];
+    for (std::size_t k = 0; k < n; ++k) product[k] = 1.0;
+    for (std::size_t j = 0; j < order; ++j) {
+      const double* __restrict__ row = rows[j] + r0;
+      CPR_SIMD
+      for (std::size_t k = 0; k < n; ++k) product[k] *= row[k];
+    }
+    for (std::size_t k = 0; k < n; ++k) total += product[k];
+  }
+  return total;
+}
+
+}  // namespace
+
+double eval_entry(const CpModel& model, const SparseTensor& t, std::size_t entry) {
+  CPR_CHECK(entry < t.nnz());
+  const double* bases[kMaxOrder];
+  factor_bases(model, bases);
+  return entry_value(bases, model.order(), model.rank(), t, entry);
+}
+
+double sq_residual_observed(const SparseTensor& t, const CpModel& model) {
+  const double* bases[kMaxOrder];
+  factor_bases(model, bases);
+  const std::size_t order = model.order();
+  const std::size_t rank = model.rank();
+  const std::size_t nnz = t.nnz();
+  // Fixed-size chunks summed into per-chunk partials, which are then added
+  // in chunk order: the result depends on nnz only, never on the thread
+  // count or the schedule. Passes of kChunksPerPass chunks keep the
+  // partials on the stack for any nnz.
+  constexpr std::size_t kChunk = 4096;
+  constexpr std::size_t kChunksPerPass = 256;
+  double partial[kChunksPerPass];
+  double total = 0.0;
+  for (std::size_t base = 0; base < nnz; base += kChunk * kChunksPerPass) {
+    const std::size_t n_chunks =
+        std::min(kChunksPerPass, (nnz - base + kChunk - 1) / kChunk);
 #ifdef CPR_HAVE_OPENMP
-#pragma omp parallel for schedule(static) reduction(+ : total)
+#pragma omp parallel for schedule(static) if (n_chunks > 1)
 #endif
-  for (std::size_t e = 0; e < t.nnz(); ++e) {
-    const double diff = t.value(e) - model.eval(t.entry_index(e));
-    total += diff * diff;
+    for (std::size_t c = 0; c < n_chunks; ++c) {
+      const std::size_t begin = base + c * kChunk;
+      const std::size_t end = std::min(nnz, begin + kChunk);
+      double sum = 0.0;
+      for (std::size_t e = begin; e < end; ++e) {
+        const double diff = t.value(e) - entry_value(bases, order, rank, t, e);
+        sum += diff * diff;
+      }
+      partial[c] = sum;
+    }
+    for (std::size_t c = 0; c < n_chunks; ++c) total += partial[c];
   }
   return total;
 }

@@ -35,7 +35,16 @@ void sparse_mttkrp_serial(const SparseTensor& t, const CpModel& model,
 void hadamard_row(const CpModel& model, const SparseTensor& t, std::size_t entry,
                   std::size_t skip_mode, double* z);
 
+/// Model value at observed entry `entry`: bitwise equal to
+/// `model.eval(t.entry_index(entry))` (the same multiply and add sequence)
+/// without building an Index. fp64-storage models only.
+double eval_entry(const CpModel& model, const SparseTensor& t, std::size_t entry);
+
 /// Sum of squared residuals over observed entries: sum_Ω (t_i - t̂_i)^2.
+/// Each entry's term is bitwise the one eval() gives; the terms are summed
+/// in fixed chunks of entries whose partials are added in chunk order, so
+/// the result is bitwise identical across runs and thread counts.
+/// Allocation-free; fp64-storage models only.
 double sq_residual_observed(const SparseTensor& t, const CpModel& model);
 
 }  // namespace cpr::tensor

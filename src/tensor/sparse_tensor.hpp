@@ -43,6 +43,8 @@ class SparseTensor {
     return values_[e];
   }
 
+  /// Full coordinate of entry e. Allocates a fresh Index on every call, so
+  /// per-sweep loops read `index(e, j)` instead (see tensor::eval_entry).
   Index entry_index(std::size_t e) const;
 
   /// Appends an entry; duplicate coordinates are the caller's responsibility

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #ifdef CPR_HAVE_OPENMP
 #include <omp.h>
@@ -121,6 +123,58 @@ TEST(Ccd, ThreadedSweepMatchesSerial) {
   options.tol = 0.0;
   expect_thread_count_invariant(
       [&](CpModel& m) { ccd_complete(problem.observed, m, options); });
+}
+
+/// Big enough that the observed entries span several 4096-entry objective
+/// chunks, so more than one thread holds a partial sum.
+Problem make_multi_chunk_problem() {
+  return make_low_rank_problem({24, 24, 24}, 3, 0.7, 41);
+}
+
+TEST(Objective, BitwiseIdenticalAcrossCallsAndThreadCounts) {
+  const auto problem = make_multi_chunk_problem();
+  ASSERT_GT(problem.observed.nnz(), 2u * 4096u);
+  CpModel model(problem.observed.dims(), 3);
+  Rng rng(42);
+  model.init_random(rng);
+  const cpr::testing::ThreadCountGuard guard;
+  omp_set_num_threads(1);
+  const auto reference =
+      std::bit_cast<std::uint64_t>(completion_objective(problem.observed, model, 1e-3));
+  for (const int threads : {1, 2, 4, 8}) {
+    omp_set_num_threads(threads);
+    for (int call = 0; call < 20; ++call) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    completion_objective(problem.observed, model, 1e-3)),
+                reference)
+          << threads << " threads, call " << call;
+    }
+  }
+}
+
+TEST(Als, DefaultTolHistoryIdenticalAcrossThreadCounts) {
+  // At the default tol the stopping sweep depends on the objective's last
+  // bits, so the history and the sweep count must not depend on threads.
+  const auto problem = make_multi_chunk_problem();
+  CompletionOptions options;
+  const auto run = [&](int threads) {
+    CompletionReport report;
+    fit_with_threads(problem.observed.dims(), 3, threads, [&](CpModel& m) {
+      report = als_complete(problem.observed, m, options);
+    });
+    return report;
+  };
+  const CompletionReport reference = run(1);
+  for (const int threads : {2, 4, 8}) {
+    const CompletionReport report = run(threads);
+    EXPECT_EQ(report.sweeps, reference.sweeps) << threads << " threads";
+    ASSERT_EQ(report.objective_history.size(), reference.objective_history.size());
+    for (std::size_t s = 0; s < report.objective_history.size(); ++s) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(report.objective_history[s]),
+                std::bit_cast<std::uint64_t>(reference.objective_history[s]))
+          << threads << " threads, sweep " << s;
+    }
+  }
 }
 
 TEST(Sgd, HogwildReducesObjective) {

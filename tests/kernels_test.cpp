@@ -214,31 +214,42 @@ TEST(HadamardBlock, BitwiseEqualToHadamardRow) {
 }
 
 TEST(FusedGramRhs, BitwiseEqualToScalarAssembly) {
+  // Ranks 1..33 reach the 4x8 and 4x4 register blocks and every column and
+  // row edge; tile lengths run from one row to a full 64-row ALS tile.
+  // gram/rhs start non-zero, as they do for every tile after a row's first,
+  // and the lower triangle must come back untouched.
   Rng rng(91);
-  const std::size_t rank = 9;
-  const std::size_t n_rows = 23;
-  std::vector<double> z(n_rows * rank);
-  std::vector<double> w(n_rows);
-  for (auto& v : z) v = rng.normal();
-  for (auto& v : w) v = rng.normal();
+  for (std::size_t rank = 1; rank <= 33; ++rank) {
+    for (const std::size_t n_rows : {1u, 7u, 63u, 64u}) {
+      std::vector<double> z(n_rows * rank);
+      std::vector<double> w(n_rows);
+      for (auto& v : z) v = rng.normal();
+      for (auto& v : w) v = rng.normal();
+      linalg::Matrix gram(rank, rank);
+      linalg::Vector rhs(rank);
+      for (std::size_t k = 0; k < gram.size(); ++k) gram.data()[k] = rng.normal();
+      for (auto& v : rhs) v = rng.normal();
+      linalg::Matrix gram_ref = gram;
+      linalg::Vector rhs_ref = rhs;
 
-  linalg::Matrix gram(rank, rank, 0.0);
-  linalg::Vector rhs(rank, 0.0);
-  linalg::fused_gram_rhs(z.data(), w.data(), n_rows, rank, gram, rhs);
+      linalg::fused_gram_rhs(z.data(), w.data(), n_rows, rank, gram, rhs);
 
-  // Scalar reference: the per-entry assembly of the serial ALS row solve.
-  linalg::Matrix gram_ref(rank, rank, 0.0);
-  linalg::Vector rhs_ref(rank, 0.0);
-  for (std::size_t b = 0; b < n_rows; ++b) {
-    const double* zb = z.data() + b * rank;
-    for (std::size_t r = 0; r < rank; ++r) {
-      rhs_ref[r] += w[b] * zb[r];
-      for (std::size_t s = r; s < rank; ++s) gram_ref(r, s) += zb[r] * zb[s];
+      // Scalar reference: the per-entry assembly of the serial ALS row solve.
+      for (std::size_t b = 0; b < n_rows; ++b) {
+        const double* zb = z.data() + b * rank;
+        for (std::size_t r = 0; r < rank; ++r) {
+          rhs_ref[r] += w[b] * zb[r];
+          for (std::size_t s = r; s < rank; ++s) gram_ref(r, s) += zb[r] * zb[s];
+        }
+      }
+      for (std::size_t r = 0; r < rank; ++r) {
+        EXPECT_EQ(rhs[r], rhs_ref[r]) << "rank " << rank << " rows " << n_rows;
+        for (std::size_t s = 0; s < rank; ++s) {
+          EXPECT_EQ(gram(r, s), gram_ref(r, s))
+              << "rank " << rank << " rows " << n_rows << " (" << r << ", " << s << ")";
+        }
+      }
     }
-  }
-  for (std::size_t r = 0; r < rank; ++r) {
-    EXPECT_EQ(rhs[r], rhs_ref[r]);
-    for (std::size_t s = r; s < rank; ++s) EXPECT_EQ(gram(r, s), gram_ref(r, s));
   }
 }
 

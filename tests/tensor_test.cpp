@@ -273,6 +273,24 @@ TEST(Mttkrp, SqResidualObservedZeroForExactModel) {
   EXPECT_NEAR(sq_residual_observed(t, m), 0.0, 1e-18);
 }
 
+TEST(Mttkrp, EvalEntryBitwiseEqualToEval) {
+  // Ranks on both sides of the 16-component product block.
+  for (const std::size_t rank : {1u, 5u, 16u, 17u, 40u}) {
+    Rng rng(10 + rank);
+    const Dims dims{4, 3, 5, 2};
+    CpModel m(dims, rank);
+    m.init_random(rng);
+    SparseTensor t(dims);
+    Index idx(dims.size(), 0);
+    do {
+      t.push_back(idx, rng.normal());
+    } while (next_index(idx, dims));
+    for (std::size_t e = 0; e < t.nnz(); ++e) {
+      EXPECT_EQ(eval_entry(m, t, e), m.eval(t.entry_index(e))) << "rank " << rank;
+    }
+  }
+}
+
 TEST(Mttkrp, ThreadedMatchesSerialReference) {
   Rng rng(9);
   const Dims dims{6, 5, 4};
