@@ -6,11 +6,12 @@
 //
 // Each case is auto-calibrated to a minimum wall time and reports the
 // minimum per-iteration seconds over --repeats runs (the low-noise
-// statistic for a regression gate). Cases come in pairs: the dispatching
-// entry point under the ambient CPR_KERNEL mode (the gated case), plus
-// `*_serial` / `*_blocked` pinned variants so one JSON shows the kernel
-// speedup directly. Before any timing, the blocked kernels are cross-checked
-// against the serial references (<= 1e-12); a divergence aborts the run.
+// statistic for a regression gate). Each kernel is one case under its
+// production name; the kernels with a library reference (MTTKRP, Cholesky,
+// the SPD solve, QR) also time it as a `*_serial` case, so one JSON shows
+// the kernel speedup directly. Before any timing, every kernel is
+// cross-checked against its scalar reference (tests/reference_kernels.hpp
+// for the ALS and Gram+RHS assembly); a divergence aborts the run.
 //
 // Flags:
 //   --json=<path>      write perf records through the shared emitter
@@ -38,12 +39,10 @@
 #include "linalg/fused.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
-#include "linalg/qr_tiled.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
+#include "reference_kernels.hpp"
 #include "tensor/mttkrp.hpp"
-#include "tensor/mttkrp_blocked.hpp"
-#include "util/kernel_mode.hpp"
 #include "util/quantize.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -108,6 +107,17 @@ struct Harness {
   std::vector<bench::JsonRecord> records;
 };
 
+/// True when every row of `model.predict_batch(queries)` is bitwise equal to
+/// `model.predict()` of that row.
+bool batch_matches_predict(const common::Regressor& model, const linalg::Matrix& queries) {
+  const auto batch = model.predict_batch(queries);
+  for (std::size_t i = 0; i < queries.rows(); ++i) {
+    const grid::Config x(queries.row_ptr(i), queries.row_ptr(i) + queries.cols());
+    if (batch[i] != model.predict(x)) return false;
+  }
+  return true;
+}
+
 core::CprModel fitted_cpr(std::uint64_t seed, std::size_t rank = 8) {
   std::vector<grid::ParameterSpec> specs{
       grid::ParameterSpec::numerical_log("m", 32, 4096, true),
@@ -137,9 +147,9 @@ int main(int argc, char** argv) {
         << "usage: kernel_suite [--json=<path>] [--repeats=5] [--min-time-ms=50]\n"
            "                    [--filter=<substr>] [--seed=1]\n\n"
            "Times the completion hot-path kernels (MTTKRP, ALS sweep,\n"
-           "Gram+RHS, predict_batch) under the ambient CPR_KERNEL mode\n"
-           "plus pinned serial/blocked variants, and writes perf records\n"
-           "for the cpr_bench regression gate.\n\n"
+           "Gram+RHS, predict_batch, dense factorizations) plus the serial\n"
+           "references of MTTKRP, Cholesky, the SPD solve and QR, and writes\n"
+           "perf records for the cpr_bench regression gate.\n\n"
            "  --json=<path>      write perf records (suite/case/seconds/model_bytes)\n"
            "  --repeats=<n>      timing repetitions per case (default: 5)\n"
            "  --min-time-ms=<n>  minimum timed interval per repetition (default: 50)\n"
@@ -151,7 +161,6 @@ int main(int argc, char** argv) {
   try {
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
     Harness harness(args);
-    std::cout << "kernel mode: " << kernel_mode_name(kernel_mode()) << "\n";
 
     // --- sparse MTTKRP --------------------------------------------------
     const tensor::Dims dims{64, 64, 64};
@@ -164,23 +173,16 @@ int main(int argc, char** argv) {
       linalg::Matrix reference(dims[0], rank);
       // A benchmark of a wrong answer is worthless: cross-check first.
       tensor::sparse_mttkrp_serial(t, model, 0, reference);
-      tensor::sparse_mttkrp_blocked(t, model, 0, out);
+      tensor::sparse_mttkrp(t, model, 0, out);
       if (linalg::max_abs_diff(out, reference) > 1e-12) {
-        std::cerr << "error: blocked MTTKRP diverged from the serial reference\n";
+        std::cerr << "error: MTTKRP diverged from the serial reference\n";
         return 1;
       }
       const std::string suffix = "/rank" + std::to_string(rank);
       harness.run("mttkrp" + suffix,
                   [&] { tensor::sparse_mttkrp(t, model, 0, out); });
-      {
-        KernelModeGuard guard;
-        set_kernel_mode(KernelMode::Serial);
-        harness.run("mttkrp_serial" + suffix,
-                    [&] { tensor::sparse_mttkrp(t, model, 0, out); });
-        set_kernel_mode(KernelMode::Blocked);
-        harness.run("mttkrp_blocked" + suffix,
-                    [&] { tensor::sparse_mttkrp(t, model, 0, out); });
-      }
+      harness.run("mttkrp_serial" + suffix,
+                  [&] { tensor::sparse_mttkrp_serial(t, model, 0, out); });
     }
 
     // --- one ALS sweep (fused normal-equation assembly) -----------------
@@ -198,28 +200,22 @@ int main(int argc, char** argv) {
         completion::als_complete(als_t, work, options);
       };
       {
-        // Cross-check the fused blocked assembly against the scalar path
-        // before timing either.
-        const auto sweep_under = [&](KernelMode mode) {
-          KernelModeGuard guard;
-          set_kernel_mode(mode);
-          tensor::CpModel work = init;
-          completion::als_complete(als_t, work, options);
-          return work;
-        };
-        const auto serial = sweep_under(KernelMode::Serial);
-        const auto blocked = sweep_under(KernelMode::Blocked);
-        for (std::size_t j = 0; j < serial.order(); ++j) {
-          if (linalg::max_abs_diff(blocked.factor(j), serial.factor(j)) > 1e-12) {
-            std::cerr << "error: blocked ALS sweep diverged from the serial path\n";
+        // Cross-check the fused assembly against the per-entry scalar one
+        // before timing (rebalancing is not part of the reference).
+        completion::CompletionOptions plain = options;
+        plain.rebalance = false;
+        tensor::CpModel fused = init;
+        completion::als_complete(als_t, fused, plain);
+        tensor::CpModel scalar = init;
+        reference::als_sweep(als_t, scalar, plain.regularization);
+        for (std::size_t j = 0; j < scalar.order(); ++j) {
+          if (linalg::max_abs_diff(fused.factor(j), scalar.factor(j)) != 0.0) {
+            std::cerr << "error: ALS sweep diverged from the scalar assembly\n";
             return 1;
           }
         }
       }
       harness.run("als_sweep/rank8", sweep);
-      KernelModeGuard guard;
-      set_kernel_mode(KernelMode::Serial);
-      harness.run("als_sweep_serial/rank8", sweep);
     }
 
     // --- fused Gram+RHS over one fit-mm-shaped slice ---------------------
@@ -249,13 +245,7 @@ int main(int argc, char** argv) {
       assemble();
       linalg::Matrix gram_ref(kRank, kRank, 0.0);
       linalg::Vector rhs_ref(kRank, 0.0);
-      for (std::size_t b = 0; b < kSlice; ++b) {
-        const double* zb = z.data() + b * kRank;
-        for (std::size_t r = 0; r < kRank; ++r) {
-          rhs_ref[r] += w[b] * zb[r];
-          for (std::size_t s = r; s < kRank; ++s) gram_ref(r, s) += zb[r] * zb[s];
-        }
-      }
+      reference::gram_rhs(z.data(), w.data(), kSlice, kRank, gram_ref, rhs_ref);
       for (std::size_t r = 0; r < kRank; ++r) {
         bool equal = rhs[r] == rhs_ref[r];
         for (std::size_t s = r; s < kRank; ++s) equal = equal && gram(r, s) == gram_ref(r, s);
@@ -275,30 +265,17 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < queries.rows(); ++i) {
         for (std::size_t j = 0; j < 3; ++j) queries(i, j) = rng.log_uniform(32, 4096);
       }
-      {
-        // Cross-check the blocked batch against scalar predict bitwise.
-        KernelModeGuard guard;
-        set_kernel_mode(KernelMode::Blocked);
-        const auto blocked = model.predict_batch(queries);
-        for (std::size_t i = 0; i < queries.rows(); ++i) {
-          grid::Config x(queries.row_ptr(i), queries.row_ptr(i) + queries.cols());
-          if (blocked[i] != model.predict(x)) {
-            std::cerr << "error: blocked predict_batch diverged from predict()\n";
-            return 1;
-          }
-        }
+      if (!batch_matches_predict(model, queries)) {
+        std::cerr << "error: predict_batch diverged from predict()\n";
+        return 1;
       }
       harness.run("predict_batch/1024",
-                  [&] { (void)model.predict_batch(queries); });
-      KernelModeGuard guard;
-      set_kernel_mode(KernelMode::Serial);
-      harness.run("predict_batch_serial/1024",
                   [&] { (void)model.predict_batch(queries); });
     }
 
     // --- quantized-archive CPR inference --------------------------------
     // One case per payload encoding: save a rank-32 CPR model through the
-    // versioned archive, reload it, and time the blocked batch predict the
+    // versioned archive, reload it, and time the batch predict the
     // serving path runs. The fp32 case exercises the dequantize-free float
     // tile loop; fp16/int8 dequantize on load, so their steady-state cost
     // should match fp64. model_bytes carries the archive size so the JSON
@@ -320,21 +297,12 @@ int main(int argc, char** argv) {
         const auto loaded = core::load_model_file(path);
         std::filesystem::remove(path);
         const std::size_t bytes = core::model_archive_bytes(model, mode);
-        // The serial/blocked bitwise invariant must hold for every loaded
-        // encoding (including the fp32-storage predict path).
-        KernelModeGuard guard;
-        set_kernel_mode(KernelMode::Blocked);
-        const auto blocked = loaded->predict_batch(queries);
-        set_kernel_mode(KernelMode::Serial);
-        const auto serial = loaded->predict_batch(queries);
-        for (std::size_t i = 0; i < queries.rows(); ++i) {
-          if (blocked[i] != serial[i]) {
-            std::cerr << "error: blocked " << mode_name
-                      << " predict_batch diverged from the serial path\n";
-            return 1;
-          }
+        // The batch-vs-predict() bitwise invariant must hold for every
+        // loaded encoding (including the fp32-storage predict path).
+        if (!batch_matches_predict(*loaded, queries)) {
+          std::cerr << "error: " << mode_name << " predict_batch diverged from predict()\n";
+          return 1;
         }
-        set_kernel_mode(KernelMode::Blocked);
         harness.run("predict_batch_" + mode_name + "/1024",
                     [&] { (void)loaded->predict_batch(queries); }, bytes, mode_name);
       }
@@ -356,44 +324,43 @@ int main(int argc, char** argv) {
       linalg::Vector b(n);
       for (auto& v : b) v = rng.normal();
 
-      // Cross-check the tiled factorization and solves bitwise first.
-      const auto factor_under = [&](KernelMode mode) {
-        KernelModeGuard guard;
-        set_kernel_mode(mode);
-        return linalg::CholeskyFactorization::compute(spd);
+      // The serial references: cholesky_factor on a copy into `l`, then the
+      // two triangular solves.
+      const auto serial_solve = [&](linalg::Matrix& l) {
+        l = spd;
+        linalg::Vector y, x;
+        if (linalg::cholesky_factor(l)) {
+          linalg::forward_substitute(l, b, y);
+          linalg::backward_substitute_t(l, y, x);
+        }
+        return x;
       };
-      const auto serial_fact = factor_under(KernelMode::Serial);
-      const auto blocked_fact = factor_under(KernelMode::Blocked);
-      if (!serial_fact || !blocked_fact ||
-          linalg::max_abs_diff(blocked_fact->factor(), serial_fact->factor()) != 0.0) {
+      // Cross-check the tiled factorization and solve bitwise first.
+      linalg::Matrix serial_l;
+      const linalg::Vector x_serial = serial_solve(serial_l);
+      const auto tiled_fact = linalg::CholeskyFactorization::compute(spd, 0);
+      if (!tiled_fact || x_serial.size() != n ||
+          linalg::max_abs_diff(tiled_fact->factor(), serial_l) != 0.0) {
         std::cerr << "error: tiled Cholesky diverged from the serial reference\n";
         return 1;
       }
-      const linalg::Vector x_serial = serial_fact->solve(b);
-      const linalg::Vector x_blocked = blocked_fact->solve(b);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (x_serial[i] != x_blocked[i]) {
-          std::cerr << "error: tiled SPD solve diverged from the serial reference\n";
-          return 1;
-        }
+      if (tiled_fact->solve(b) != x_serial) {
+        std::cerr << "error: tiled SPD solve diverged from the serial reference\n";
+        return 1;
       }
 
       const std::string size_suffix = "/n" + std::to_string(n);
-      const auto potrf = [&] {
-        (void)linalg::CholeskyFactorization::compute(spd);
-      };
-      const auto solve = [&] { (void)linalg::solve_spd(spd, b); };
-      harness.run("potrf" + size_suffix, potrf);
-      harness.run("solve_spd" + size_suffix, solve);
-      {
-        KernelModeGuard guard;
-        set_kernel_mode(KernelMode::Serial);
-        harness.run("potrf_serial" + size_suffix, potrf);
-        harness.run("solve_spd_serial" + size_suffix, solve);
-        set_kernel_mode(KernelMode::Blocked);
-        harness.run("potrf_blocked" + size_suffix, potrf);
-        harness.run("solve_spd_blocked" + size_suffix, solve);
-      }
+      harness.run("potrf" + size_suffix,
+                  [&] { (void)linalg::CholeskyFactorization::compute(spd); });
+      harness.run("solve_spd" + size_suffix, [&] { (void)linalg::solve_spd(spd, b); });
+      harness.run("potrf_serial" + size_suffix, [&] {
+        linalg::Matrix l = spd;
+        (void)linalg::cholesky_factor(l);
+      });
+      harness.run("solve_spd_serial" + size_suffix, [&] {
+        linalg::Matrix l;
+        (void)serial_solve(l);
+      });
 
       const std::size_t qm = 384, qn = 256;
       linalg::Matrix tall(qm, qn);
@@ -401,21 +368,15 @@ int main(int argc, char** argv) {
         for (std::size_t j = 0; j < qn; ++j) tall(i, j) = rng.normal();
       }
       const auto qr_serial = linalg::qr_factor_serial(tall);
-      const auto qr_blocked = linalg::qr_factor_blocked(tall);
-      if (linalg::max_abs_diff(qr_blocked.qr, qr_serial.qr) != 0.0) {
+      const auto qr_fact = linalg::qr_factor(tall);
+      if (linalg::max_abs_diff(qr_fact.qr, qr_serial.qr) != 0.0 ||
+          qr_fact.tau != qr_serial.tau) {
         std::cerr << "error: blocked QR diverged from the serial reference\n";
         return 1;
       }
       const std::string qr_suffix = "/" + std::to_string(qm) + "x" + std::to_string(qn);
-      const auto qr = [&] { (void)linalg::qr_factor(tall); };
-      harness.run("qr" + qr_suffix, qr);
-      {
-        KernelModeGuard guard;
-        set_kernel_mode(KernelMode::Serial);
-        harness.run("qr_serial" + qr_suffix, qr);
-        set_kernel_mode(KernelMode::Blocked);
-        harness.run("qr_blocked" + qr_suffix, qr);
-      }
+      harness.run("qr" + qr_suffix, [&] { (void)linalg::qr_factor(tall); });
+      harness.run("qr_serial" + qr_suffix, [&] { (void)linalg::qr_factor_serial(tall); });
     }
 
     // --- observability primitives ---------------------------------------

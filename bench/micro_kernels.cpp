@@ -72,35 +72,6 @@ void BM_SparseMttkrp(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseMttkrp)->Arg(4)->Arg(16)->Arg(64);
 
-// The blocked SIMD kernel, pinned regardless of CPR_KERNEL; the
-// BM_SparseMttkrpBlocked/BM_SparseMttkrpSerial ratio is the kernel-layer
-// speedup (bench/kernel_suite tracks the same pair for the cpr_bench gate).
-void BM_SparseMttkrpBlocked(benchmark::State& state) {
-  const auto rank = static_cast<std::size_t>(state.range(0));
-  const tensor::Dims dims{64, 64, 64};
-  const auto t = random_sparse(dims, 1u << 14, 1);
-  tensor::CpModel model(dims, rank);
-  Rng rng(2);
-  model.init_random(rng);
-  linalg::Matrix out(dims[0], rank);
-  {
-    linalg::Matrix reference(dims[0], rank);
-    tensor::sparse_mttkrp_serial(t, model, 0, reference);
-    tensor::sparse_mttkrp_blocked(t, model, 0, out);
-    if (linalg::max_abs_diff(out, reference) > 1e-12) {
-      state.SkipWithError("blocked MTTKRP diverged from the serial reference");
-      return;
-    }
-  }
-  for (auto _ : state) {
-    tensor::sparse_mttkrp_blocked(t, model, 0, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(t.nnz()));
-}
-BENCHMARK(BM_SparseMttkrpBlocked)->Arg(4)->Arg(16)->Arg(64);
-
 // The single-threaded reference; the BM_SparseMttkrp/BM_SparseMttkrpSerial
 // ratio is the OMP_NUM_THREADS speedup.
 void BM_SparseMttkrpSerial(benchmark::State& state) {

@@ -6,7 +6,6 @@
 #include "linalg/fused.hpp"
 #include "tensor/mttkrp.hpp"
 #include "tensor/mttkrp_blocked.hpp"
-#include "util/kernel_mode.hpp"
 #include "util/log.hpp"
 
 namespace cpr::completion {
@@ -63,7 +62,6 @@ CompletionReport als_complete(const tensor::SparseTensor& t, tensor::CpModel& mo
   CPR_CHECK_MSG(t.nnz() > 0, "cannot complete a tensor with no observations");
   const std::size_t rank = model.rank();
   const tensor::ModeSlices slices(t);
-  const bool blocked = kernel_mode() == KernelMode::Blocked;
 
   CompletionReport report;
   double prev_objective = completion_objective(t, model, options.regularization);
@@ -79,9 +77,8 @@ CompletionReport als_complete(const tensor::SparseTensor& t, tensor::CpModel& mo
       {
         // Per-thread assembly scratch, reused across every row the thread
         // owns (gram/rhs are moved into the solver, so those stay per-row).
-        std::vector<double> z_tile(blocked ? kTile * rank : 0);
-        std::vector<double> w_tile(blocked ? kTile : 0);
-        std::vector<double> z(blocked ? 0 : rank);
+        std::vector<double> z_tile(kTile * rank);
+        std::vector<double> w_tile(kTile);
         // One row per grab: each row is a whole slice solve, and a mode of
         // 8 cells must still spread over every thread.
 #ifdef CPR_HAVE_OPENMP
@@ -93,31 +90,19 @@ CompletionReport als_complete(const tensor::SparseTensor& t, tensor::CpModel& mo
           const double inv_count = 1.0 / static_cast<double>(entries.size());
           linalg::Matrix gram(rank, rank, 0.0);
           linalg::Vector rhs(rank, 0.0);
-          if (blocked) {
-            // Fused normal-equation assembly: expand a tile of Hadamard
-            // rows, then accumulate Z^T Z and Z^T w in one pass over the
-            // tile (linalg/fused.hpp). Entry order inside and across tiles
-            // is the slice order, so the result matches the scalar path
-            // bitwise.
-            for (std::size_t first = 0; first < entries.size(); first += kTile) {
-              const std::size_t n = std::min(kTile, entries.size() - first);
-              tensor::hadamard_block(model, t, entries.data() + first, n, mode,
-                                     z_tile.data());
-              for (std::size_t b = 0; b < n; ++b) {
-                w_tile[b] = t.value(entries[first + b]);
-              }
-              linalg::fused_gram_rhs(z_tile.data(), w_tile.data(), n, rank, gram,
-                                     rhs);
+          // Fused normal-equation assembly: expand a tile of Hadamard rows,
+          // then accumulate Z^T Z and Z^T w in one pass over the tile
+          // (linalg/fused.hpp). Entry order inside and across tiles is the
+          // slice order, so the result matches the per-entry scalar assembly
+          // bitwise.
+          for (std::size_t first = 0; first < entries.size(); first += kTile) {
+            const std::size_t n = std::min(kTile, entries.size() - first);
+            tensor::hadamard_block(model, t, entries.data() + first, n, mode,
+                                   z_tile.data());
+            for (std::size_t b = 0; b < n; ++b) {
+              w_tile[b] = t.value(entries[first + b]);
             }
-          } else {
-            for (const std::size_t e : entries) {
-              tensor::hadamard_row(model, t, e, mode, z.data());
-              const double value = t.value(e);
-              for (std::size_t r = 0; r < rank; ++r) {
-                rhs[r] += value * z[r];
-                for (std::size_t s = r; s < rank; ++s) gram(r, s) += z[r] * z[s];
-              }
-            }
+            linalg::fused_gram_rhs(z_tile.data(), w_tile.data(), n, rank, gram, rhs);
           }
           // Mirror the upper triangle, apply the 1/|Ω_i| scaling, and add
           // the ridge term (row objective of Section 4.2.1).

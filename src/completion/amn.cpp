@@ -4,25 +4,20 @@
 
 #include "linalg/lu.hpp"
 #include "tensor/mttkrp.hpp"
+#include "util/chunked_sum.hpp"
 #include "util/log.hpp"
 
 namespace cpr::completion {
 
 double mlogq2_objective(const tensor::SparseTensor& t, const tensor::CpModel& model,
                         double regularization) {
-  double total = 0.0;
-#ifdef CPR_HAVE_OPENMP
-#pragma omp parallel for schedule(static) reduction(+ : total)
-#endif
-  for (std::size_t e = 0; e < t.nnz(); ++e) {
+  const double total = util::chunked_sum(t.nnz(), [&](std::size_t e) {
     const double prediction = tensor::eval_entry(model, t, e);
-    if (prediction <= 0.0) {
-      total += 1e12;  // outside the positive orthant: effectively infinite
-      continue;
-    }
+    // Outside the positive orthant: effectively infinite.
+    if (prediction <= 0.0) return 1e12;
     const double log_q = std::log(prediction / t.value(e));
-    total += log_q * log_q;
-  }
+    return log_q * log_q;
+  });
   const double n = std::max<std::size_t>(t.nnz(), 1);
   return total / n + regularization * model.regularization_term();
 }

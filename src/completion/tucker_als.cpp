@@ -3,20 +3,17 @@
 #include <cmath>
 
 #include "linalg/cholesky.hpp"
+#include "util/chunked_sum.hpp"
 #include "util/log.hpp"
 
 namespace cpr::completion {
 
 double tucker_objective(const tensor::SparseTensor& t, const tensor::TuckerModel& model,
                         double regularization) {
-  double sq_residual = 0.0;
-#ifdef CPR_HAVE_OPENMP
-#pragma omp parallel for schedule(static) reduction(+ : sq_residual)
-#endif
-  for (std::size_t e = 0; e < t.nnz(); ++e) {
+  const double sq_residual = util::chunked_sum(t.nnz(), [&](std::size_t e) {
     const double diff = t.value(e) - model.eval(t.entry_index(e));
-    sq_residual += diff * diff;
-  }
+    return diff * diff;
+  });
   double ridge = 0.0;
   for (std::size_t j = 0; j < model.order(); ++j) {
     const double norm = model.factor(j).frobenius_norm();

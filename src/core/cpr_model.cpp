@@ -9,7 +9,6 @@
 #include "completion/ccd.hpp"
 #include "completion/sgd.hpp"
 #include "obs/profile.hpp"
-#include "util/kernel_mode.hpp"
 #include "util/simd.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -228,40 +227,7 @@ std::vector<double> CprModel::predict_batch(const linalg::Matrix& configs) const
   CPR_CHECK_MSG(fitted_, "CprModel::predict_batch before fit");
   CPR_CHECK_MSG(configs.cols() == discretization_.order(),
                 "config batch dimensionality does not match the discretization");
-  // Declared before the dispatch so the scope covers both kernel paths.
   CPR_PROFILE_SCOPE("predict_batch");
-  if (kernel_mode() == KernelMode::Blocked) return predict_batch_blocked(configs);
-  std::vector<double> out(configs.rows());
-  // Exceptions must not unwind out of an OpenMP region (that terminates the
-  // process); capture the first one and rethrow it on the calling thread.
-  std::exception_ptr error;
-#ifdef CPR_HAVE_OPENMP
-#pragma omp parallel
-#endif
-  {
-    // Per-thread query scratch: assign() reuses its capacity, so the hot
-    // loop is allocation-free after the first query.
-    grid::Config scratch;
-#ifdef CPR_HAVE_OPENMP
-#pragma omp for schedule(dynamic, 16)
-#endif
-    for (std::size_t i = 0; i < configs.rows(); ++i) {
-      try {
-        scratch.assign(configs.row_ptr(i), configs.row_ptr(i) + configs.cols());
-        out[i] = predict_in_place(scratch);
-      } catch (...) {
-#ifdef CPR_HAVE_OPENMP
-#pragma omp critical(cpr_predict_batch_error)
-#endif
-        if (!error) error = std::current_exception();
-      }
-    }
-  }
-  if (error) std::rethrow_exception(error);
-  return out;
-}
-
-std::vector<double> CprModel::predict_batch_blocked(const linalg::Matrix& configs) const {
   std::vector<double> out(configs.rows());
   const std::size_t n = configs.rows();
   constexpr std::size_t kTile = 64;

@@ -71,9 +71,11 @@ class CprModel final : public common::Regressor {
   std::size_t model_size_bytes() const override;
 
   /// Batched Eq.-5 inference over every row of `configs` (n x order).
-  /// Parallelized over configurations with per-thread scratch (allocation-
-  /// free after the first query); row i equals predict(row i) bitwise,
-  /// independent of the thread count. A virtual override so polymorphic
+  /// Configurations are walked in tiles spread over the threads, each with
+  /// per-thread scratch (allocation-free after the first query), and cell
+  /// lookups run through a vectorized CP evaluation that keeps the scalar
+  /// multiply/add order: row i equals predict(row i) bitwise, independent
+  /// of the thread count. A virtual override so polymorphic
   /// callers (tools, evaluation) reach the batched path through Regressor*.
   std::vector<double> predict_batch(const linalg::Matrix& configs) const override;
 
@@ -99,15 +101,9 @@ class CprModel final : public common::Regressor {
 
  private:
   /// Eq.-5 inference with domain clamping done in place on `x` (which serves
-  /// as scratch); shared by predict() and the batched loop so the batch path
-  /// can reuse a per-thread buffer instead of allocating per query.
+  /// as scratch): predict()'s body, and the reference predict_batch must
+  /// match bitwise.
   double predict_in_place(grid::Config& x) const;
-
-  /// The CPR_KERNEL=blocked arm of predict_batch: configurations are walked
-  /// in static tiles with per-thread interpolation scratch, and cell lookups
-  /// run through a vectorized CP evaluation that preserves the scalar
-  /// multiply/add order — every output is bitwise equal to predict().
-  std::vector<double> predict_batch_blocked(const linalg::Matrix& configs) const;
 
   /// predict_in_place with caller-owned scratch (`interp` for Eq. 5, `z` /
   /// `zf` of size rank for the fp64 / fp32 CP evaluation); semantics mirror

@@ -4,7 +4,6 @@
 
 #include "linalg/cholesky_tiled.hpp"
 #include "obs/profile.hpp"
-#include "util/kernel_mode.hpp"
 
 namespace cpr::linalg {
 
@@ -69,8 +68,7 @@ std::optional<CholeskyFactorization> CholeskyFactorization::compute(
   // single tile with the same arithmetic after a round-trip copy, so small
   // systems (the ALS rank solves) stay on the serial path. Results are
   // bitwise-identical either way, making the threshold invisible to callers.
-  const bool tiled =
-      kernel_mode() == KernelMode::Blocked && n > kDefaultTileSize;
+  const bool tiled = n > kDefaultTileSize;
 
   CholeskyFactorization fact;
   fact.n_ = n;

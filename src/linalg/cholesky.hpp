@@ -5,12 +5,12 @@
 // products are SPD by construction; Cholesky is the workhorse solver for
 // every per-row subproblem in completion/ and for GP regression.
 //
-// Two implementations sit behind the `CPR_KERNEL` dispatch
-// (util/kernel_mode.hpp): the serial reference below, and the task-graph
-// tiled factorization of linalg/cholesky_tiled.hpp, which `blocked` mode
-// uses for systems larger than one tile. Both are bitwise-equal, so the
-// dispatch is invisible to callers (asserted in tests/linalg_test.cpp and
-// tests/kernels_test.cpp).
+// `CholeskyFactorization::compute` (and the free solves built on it) picks
+// the implementation from the input size: systems of at most one tile
+// (n <= 64, every ALS rank solve) run the serial `cholesky_factor` below,
+// larger ones the task-graph tiled factorization of linalg/cholesky_tiled.hpp.
+// Both are bitwise-equal, so the size threshold is invisible to callers
+// (asserted in tests/linalg_test.cpp and tests/kernels_test.cpp).
 
 #include <optional>
 
@@ -21,8 +21,8 @@ namespace cpr::linalg {
 
 /// In-place lower Cholesky factor of SPD matrix `a` (upper triangle
 /// untouched). Returns false if a non-positive pivot is encountered.
-/// This is the serial reference; `CholeskyFactorization::compute` is the
-/// dispatching entry point.
+/// The serial reference, and `CholeskyFactorization::compute`'s path for
+/// n <= 64.
 bool cholesky_factor(Matrix& a);
 
 /// Solves L y = b (forward substitution) given lower-triangular L.
@@ -36,12 +36,12 @@ void backward_substitute_t(const Matrix& l, const Vector& y, Vector& x);
 /// `solve_spd` and `logdet_spd` each factor from scratch; code that needs
 /// both (e.g. GP marginal likelihood: solve for alpha *and* log det of the
 /// same kernel matrix) computes this object once instead of paying the
-/// O(n^3) factorization twice. The factor is stored tiled or row-major
-/// according to the kernel mode at compute() time, so solves run end-to-end
-/// on the representation the factorization produced.
+/// O(n^3) factorization twice. The factor is stored tiled (n > 64) or
+/// row-major, so solves run end-to-end on the representation the
+/// factorization produced.
 class CholeskyFactorization {
  public:
-  /// \brief Factors SPD `a`, dispatching on the ambient kernel mode.
+  /// \brief Factors SPD `a`: tiled when n > 64, serial otherwise.
   /// \param a the SPD matrix (taken by value; kept pristine internally so
   ///          every jitter retry restarts from the original input).
   /// \param max_jitter_tries failed factorizations are retried with
@@ -71,7 +71,7 @@ class CholeskyFactorization {
 
   /// \brief The factor as a row-major matrix: L in the lower triangle, the
   ///        input's upper triangle untouched (copied out of tile storage
-  ///        when the blocked path computed it).
+  ///        when the tiled path computed it).
   Matrix factor() const;
 
  private:
@@ -80,8 +80,8 @@ class CholeskyFactorization {
   std::size_t n_ = 0;
   double jitter_ = 0.0;
   bool tiled_ = false;     ///< which storage below holds the factor
-  Matrix serial_l_;        ///< serial-mode factor (row-major)
-  TiledMatrix tiled_l_;    ///< blocked-mode factor (tile-major)
+  Matrix serial_l_;        ///< serial-path factor (row-major)
+  TiledMatrix tiled_l_;    ///< tiled-path factor (tile-major)
 };
 
 /// Solves A x = b for SPD A via Cholesky. If factorization fails, retries

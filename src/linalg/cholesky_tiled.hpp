@@ -1,6 +1,6 @@
 #pragma once
-// Task-graph blocked Cholesky on TiledMatrix storage — the linalg tentpole
-// of the `CPR_KERNEL=blocked` layer.
+// Task-graph blocked Cholesky on TiledMatrix storage — the path
+// `CholeskyFactorization::compute` takes for systems larger than one tile.
 //
 // The factorization is the classic right-looking tile decomposition: at each
 // tile step k, potrf factors the diagonal tile, trsm solves the panel tiles

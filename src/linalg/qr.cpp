@@ -2,10 +2,6 @@
 
 #include <cmath>
 
-#include "linalg/qr_tiled.hpp"
-#include "obs/profile.hpp"
-#include "util/kernel_mode.hpp"
-
 namespace cpr::linalg {
 
 QrFactorization qr_factor_serial(Matrix a) {
@@ -37,17 +33,6 @@ QrFactorization qr_factor_serial(Matrix a) {
     }
   }
   return QrFactorization{std::move(a), std::move(tau)};
-}
-
-QrFactorization qr_factor(Matrix a) {
-  CPR_PROFILE_SCOPE("qr");
-  // Both paths are bitwise-equal (the blocked panel QR applies reflectors in
-  // the serial order; see linalg/qr_tiled.hpp), so the dispatch is invisible
-  // to callers.
-  if (kernel_mode() == KernelMode::Blocked) {
-    return qr_factor_blocked(std::move(a));
-  }
-  return qr_factor_serial(std::move(a));
 }
 
 void QrFactorization::apply_qt(Vector& v) const {

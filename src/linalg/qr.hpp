@@ -29,12 +29,26 @@ struct QrFactorization {
 };
 
 /// Serial reference Householder QR — one reflector at a time, applied to
-/// every trailing column immediately.
+/// every trailing column immediately. The test oracle of `qr_factor`.
 QrFactorization qr_factor_serial(Matrix a);
 
-/// Dispatching entry point: `CPR_KERNEL=blocked` (the default) uses the
-/// panel-blocked factorization of linalg/qr_tiled.hpp, `serial` the reference
-/// above. Both produce bitwise-identical factorizations.
+/// \brief Panel-blocked Householder QR (linalg/qr_tiled.cpp), bitwise-equal
+///        to `qr_factor_serial`.
+/// \param a the matrix to factor (taken by value, factored in place).
+///
+/// The columns are processed in panels: each panel is factored
+/// column-by-column with the reference reflector arithmetic, then the
+/// panel's reflectors are applied to the trailing columns in cache-sized
+/// column tiles. Per trailing column the reflectors apply one at a time in
+/// ascending k — the serial order — so no compact-WY aggregation is used
+/// (aggregating into a T factor would reassociate the arithmetic and break
+/// the bitwise contract). The win is locality and vectorization: the
+/// m x panel block stays hot while the update streams each column tile once
+/// per panel, and the gemm-shaped i-loops of the reflector application run
+/// `CPR_SIMD` over contiguous trailing columns (the reduction per column
+/// stays sequential). With OpenMP the independent column tiles of a panel
+/// update run in parallel. The TU shares the tile-kernel compile options
+/// (-march=native where available, FP contraction off).
 QrFactorization qr_factor(Matrix a);
 
 /// Minimum-norm-ish least squares: minimizes ||A x - b||_2 for full-rank A

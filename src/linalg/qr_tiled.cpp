@@ -1,7 +1,9 @@
-#include "linalg/qr_tiled.hpp"
+// Panel-blocked Householder QR: the body of `qr_factor` (linalg/qr.hpp).
 
 #include <cmath>
 
+#include "linalg/qr.hpp"
+#include "obs/profile.hpp"
 #include "util/simd.hpp"
 
 #ifdef CPR_HAVE_OPENMP
@@ -52,7 +54,8 @@ void apply_reflectors(Matrix& a, const Vector& tau, std::size_t k0,
 
 }  // namespace
 
-QrFactorization qr_factor_blocked(Matrix a) {
+QrFactorization qr_factor(Matrix a) {
+  CPR_PROFILE_SCOPE("qr");
   const std::size_t m = a.rows(), n = a.cols();
   CPR_CHECK_MSG(m >= n, "qr_factor requires rows >= cols");
   Vector tau(n, 0.0);

@@ -1,6 +1,6 @@
 #pragma once
-// SIMD tile kernels of the blocked dense factorizations — the linalg side of
-// the `CPR_KERNEL=blocked` layer (util/kernel_mode.hpp).
+// SIMD tile kernels of the tiled dense factorizations (the Cholesky task
+// graph of linalg/cholesky_tiled.hpp, used for n > 64).
 //
 // Each kernel operates on contiguous row-major tiles (TiledMatrix blocks or
 // sub-panels of a Matrix) and preserves, per output element, the exact

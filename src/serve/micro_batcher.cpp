@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "linalg/matrix.hpp"
-#include "util/kernel_mode.hpp"
 
 namespace cpr::serve {
 
@@ -107,7 +106,6 @@ void MicroBatcher::run_batch(std::vector<Job>& batch) const {
         span.start_ns = picked_up_ns;
         span.end_ns = done_ns;
         span.args.emplace_back("batch", batch_size);
-        span.args.emplace_back("kernel", kernel_mode_name(kernel_mode()));
         span.args.emplace_back("model", batch[i].model->name);
         batch[i].trace->add_span(std::move(span));
       }

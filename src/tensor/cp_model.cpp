@@ -20,8 +20,8 @@ double CpModel::eval(const Index& idx) const {
   CPR_DCHECK(idx.size() == order());
   if (f32_) {
     // Float arm: the same multiply sequence per component with a double
-    // accumulator, so it is bitwise equal to the vectorized float kernel in
-    // CprModel's blocked dispatch.
+    // accumulator, so it is bitwise equal to the vectorized float kernel of
+    // CprModel::predict_batch.
     double total = 0.0;
     for (std::size_t r = 0; r < rank_; ++r) {
       float product = 1.0f;

@@ -40,9 +40,9 @@ class CpModel {
   /// widening pass. Only adopted when the narrowing is exact (every entry is
   /// float-representable — always true for values loaded from an fp32
   /// block), so serialize() round-trips bitwise; returns false and leaves
-  /// the model untouched otherwise. eval() and the blocked kernel dispatch
-  /// on f32_storage() with identical op order, keeping serial and blocked
-  /// predictions bitwise equal.
+  /// the model untouched otherwise. eval() and the vectorized predict_batch
+  /// kernel branch on f32_storage() with identical op order, keeping
+  /// predict() and predict_batch() bitwise equal.
   bool adopt_f32_storage();
   bool f32_storage() const { return f32_; }
 

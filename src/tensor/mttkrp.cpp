@@ -2,14 +2,8 @@
 
 #include <algorithm>
 
-#include "obs/profile.hpp"
-#include "tensor/mttkrp_blocked.hpp"
-#include "util/kernel_mode.hpp"
+#include "util/chunked_sum.hpp"
 #include "util/simd.hpp"
-
-#ifdef CPR_HAVE_OPENMP
-#include <omp.h>
-#endif
 
 namespace cpr::tensor {
 
@@ -38,64 +32,19 @@ void hadamard_row(const CpModel& model, const SparseTensor& t, std::size_t entry
   }
 }
 
-namespace {
-
-/// Shared shape checks + zeroing for both MTTKRP entry points.
-std::size_t prepare_mttkrp_output(const CpModel& model, std::size_t mode,
-                                  linalg::Matrix& out) {
+void sparse_mttkrp_serial(const SparseTensor& t, const CpModel& model,
+                          std::size_t mode, linalg::Matrix& out) {
   CPR_CHECK(mode < model.order());
   CPR_CHECK(out.rows() == model.dims()[mode] && out.cols() == model.rank());
   out.fill(0.0);
-  return model.rank();
-}
-
-/// Entry-order accumulation of entries [begin, end) into a zeroed output;
-/// the single kernel shared by the serial path and each thread's local
-/// accumulation in the parallel path.
-void accumulate_entries(const SparseTensor& t, const CpModel& model,
-                        std::size_t mode, std::size_t rank, std::size_t begin,
-                        std::size_t end, linalg::Matrix& out) {
+  const std::size_t rank = model.rank();
   std::vector<double> z(rank);
-  for (std::size_t e = begin; e < end; ++e) {
+  for (std::size_t e = 0; e < t.nnz(); ++e) {
     hadamard_row(model, t, e, mode, z.data());
     double* row = out.row_ptr(t.index(e, mode));
     const double value = t.value(e);
     for (std::size_t r = 0; r < rank; ++r) row[r] += value * z[r];
   }
-}
-
-}  // namespace
-
-void sparse_mttkrp_serial(const SparseTensor& t, const CpModel& model,
-                          std::size_t mode, linalg::Matrix& out) {
-  const std::size_t rank = prepare_mttkrp_output(model, mode, out);
-  accumulate_entries(t, model, mode, rank, 0, t.nnz(), out);
-}
-
-void sparse_mttkrp(const SparseTensor& t, const CpModel& model, std::size_t mode,
-                   linalg::Matrix& out) {
-  CPR_PROFILE_SCOPE("mttkrp");
-  if (kernel_mode() == KernelMode::Blocked) {
-    sparse_mttkrp_blocked(t, model, mode, out);
-    return;
-  }
-  const std::size_t rank = prepare_mttkrp_output(model, mode, out);
-#ifdef CPR_HAVE_OPENMP
-  if (omp_get_max_threads() > 1) {
-#pragma omp parallel
-    {
-      const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-      const auto n_threads = static_cast<std::size_t>(omp_get_num_threads());
-      linalg::Matrix local(out.rows(), out.cols(), 0.0);
-      accumulate_entries(t, model, mode, rank, t.nnz() * tid / n_threads,
-                         t.nnz() * (tid + 1) / n_threads, local);
-#pragma omp critical(cpr_mttkrp_reduce)
-      out += local;
-    }
-    return;
-  }
-#endif
-  accumulate_entries(t, model, mode, rank, 0, t.nnz(), out);
 }
 
 namespace {
@@ -148,34 +97,10 @@ double sq_residual_observed(const SparseTensor& t, const CpModel& model) {
   factor_bases(model, bases);
   const std::size_t order = model.order();
   const std::size_t rank = model.rank();
-  const std::size_t nnz = t.nnz();
-  // Fixed-size chunks summed into per-chunk partials, which are then added
-  // in chunk order: the result depends on nnz only, never on the thread
-  // count or the schedule. Passes of kChunksPerPass chunks keep the
-  // partials on the stack for any nnz.
-  constexpr std::size_t kChunk = 4096;
-  constexpr std::size_t kChunksPerPass = 256;
-  double partial[kChunksPerPass];
-  double total = 0.0;
-  for (std::size_t base = 0; base < nnz; base += kChunk * kChunksPerPass) {
-    const std::size_t n_chunks =
-        std::min(kChunksPerPass, (nnz - base + kChunk - 1) / kChunk);
-#ifdef CPR_HAVE_OPENMP
-#pragma omp parallel for schedule(static) if (n_chunks > 1)
-#endif
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      const std::size_t begin = base + c * kChunk;
-      const std::size_t end = std::min(nnz, begin + kChunk);
-      double sum = 0.0;
-      for (std::size_t e = begin; e < end; ++e) {
-        const double diff = t.value(e) - entry_value(bases, order, rank, t, e);
-        sum += diff * diff;
-      }
-      partial[c] = sum;
-    }
-    for (std::size_t c = 0; c < n_chunks; ++c) total += partial[c];
-  }
-  return total;
+  return util::chunked_sum(t.nnz(), [&](std::size_t e) {
+    const double diff = t.value(e) - entry_value(bases, order, rank, t, e);
+    return diff * diff;
+  });
 }
 
 }  // namespace cpr::tensor

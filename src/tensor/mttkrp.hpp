@@ -16,17 +16,14 @@ namespace cpr::tensor {
 linalg::Matrix khatri_rao(const linalg::Matrix& a, const linalg::Matrix& b);
 
 /// Sparse MTTKRP for the given mode; `out` must be dims[mode] x rank and is
-/// overwritten. Dispatches on the runtime kernel mode (util/kernel_mode.hpp):
-/// `blocked` (default) runs the cache-blocked SIMD kernel of
-/// tensor/mttkrp_blocked.hpp; `CPR_KERNEL=serial` falls back to this file's
-/// scalar reference, parallelized over entries with thread-local
-/// accumulators. Both agree with `sparse_mttkrp_serial` within 1e-12.
+/// overwritten. Runs the cache-blocked SIMD kernel described in
+/// tensor/mttkrp_blocked.hpp (defined in mttkrp_blocked.cpp): bitwise equal
+/// to `sparse_mttkrp_serial` per element at any thread count.
 void sparse_mttkrp(const SparseTensor& t, const CpModel& model, std::size_t mode,
                    linalg::Matrix& out);
 
-/// Single-threaded MTTKRP reference: the exact entry-order accumulation the
-/// parallel path reduces to. The threaded variant must match it within
-/// floating-point reduction reordering (~1e-12 relative).
+/// Single-threaded MTTKRP reference, the test oracle of `sparse_mttkrp`:
+/// each entry's contribution is accumulated in storage order.
 void sparse_mttkrp_serial(const SparseTensor& t, const CpModel& model,
                           std::size_t mode, linalg::Matrix& out);
 
@@ -42,8 +39,8 @@ double eval_entry(const CpModel& model, const SparseTensor& t, std::size_t entry
 
 /// Sum of squared residuals over observed entries: sum_Ω (t_i - t̂_i)^2.
 /// Each entry's term is bitwise the one eval() gives; the terms are summed
-/// in fixed chunks of entries whose partials are added in chunk order, so
-/// the result is bitwise identical across runs and thread counts.
+/// by util::chunked_sum, so the result is bitwise identical across runs and
+/// thread counts.
 /// Allocation-free; fp64-storage models only.
 double sq_residual_observed(const SparseTensor& t, const CpModel& model);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/profile.hpp"
+#include "tensor/mttkrp.hpp"
 #include "util/simd.hpp"
 
 #ifdef CPR_HAVE_OPENMP
@@ -24,7 +26,7 @@ RowBlocks::RowBlocks(const SparseTensor& t, std::size_t mode, std::size_t rank) 
   const std::size_t nnz = t.nnz();
 
   // Stable counting sort of entry ids by their mode coordinate: the ids of
-  // each row end up in ascending storage order, i.e. the serial kernel's
+  // each row end up in ascending storage order, i.e. the reference kernel's
   // accumulation order.
   row_offsets_.assign(n_rows + 1, 0);
   for (std::size_t e = 0; e < nnz; ++e) ++row_offsets_[t.index(e, mode) + 1];
@@ -145,10 +147,6 @@ void accumulate_block(const SparseTensor& t, const CpModel& model, std::size_t m
   }
 }
 
-}  // namespace
-
-namespace {
-
 /// Streaming fused accumulation in storage order — the single-thread arm:
 /// with one thread no output row is contended, so the row bucketing would
 /// only add an O(nnz) sort to the exact same accumulation order. Identical
@@ -186,13 +184,24 @@ void accumulate_streaming(const SparseTensor& t, const CpModel& model,
 
 }  // namespace
 
-void sparse_mttkrp_blocked(const SparseTensor& t, const CpModel& model,
-                           std::size_t mode, const RowBlocks& blocks,
-                           linalg::Matrix& out) {
+void sparse_mttkrp(const SparseTensor& t, const CpModel& model, std::size_t mode,
+                   linalg::Matrix& out) {
+  CPR_PROFILE_SCOPE("mttkrp");
   CPR_CHECK(mode < model.order());
   CPR_CHECK(out.rows() == model.dims()[mode] && out.cols() == model.rank());
   CPR_CHECK(t.dims() == model.dims());
   out.fill(0.0);
+  int threads = 1;
+#ifdef CPR_HAVE_OPENMP
+  threads = omp_get_max_threads();
+#endif
+  if (threads <= 1) {
+    accumulate_streaming(t, model, mode, out);
+    return;
+  }
+  // Each row block owns its output rows, so the blocks run in parallel with
+  // no reduction pass.
+  const RowBlocks blocks(t, mode, model.rank());
   const std::size_t n_blocks = blocks.n_blocks();
 #ifdef CPR_HAVE_OPENMP
 #pragma omp parallel for schedule(dynamic) if (n_blocks > 1)
@@ -201,24 +210,6 @@ void sparse_mttkrp_blocked(const SparseTensor& t, const CpModel& model,
     accumulate_block(t, model, mode, blocks, blocks.block_first_row(b),
                      blocks.block_last_row(b), out);
   }
-}
-
-void sparse_mttkrp_blocked(const SparseTensor& t, const CpModel& model,
-                           std::size_t mode, linalg::Matrix& out) {
-  int threads = 1;
-#ifdef CPR_HAVE_OPENMP
-  threads = omp_get_max_threads();
-#endif
-  if (threads <= 1) {
-    CPR_CHECK(mode < model.order());
-    CPR_CHECK(out.rows() == model.dims()[mode] && out.cols() == model.rank());
-    CPR_CHECK(t.dims() == model.dims());
-    out.fill(0.0);
-    accumulate_streaming(t, model, mode, out);
-    return;
-  }
-  const RowBlocks blocks(t, mode, model.rank());
-  sparse_mttkrp_blocked(t, model, mode, blocks, out);
 }
 
 }  // namespace cpr::tensor

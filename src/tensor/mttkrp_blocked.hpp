@@ -1,19 +1,21 @@
 #pragma once
-// Cache-blocked, explicitly vectorized sparse MTTKRP — the tentpole kernel
-// layer behind the `CPR_KERNEL=blocked` dispatch (util/kernel_mode.hpp).
+// The cache-blocked, explicitly vectorized layer behind `sparse_mttkrp`
+// (tensor/mttkrp.hpp) and the ALS normal-equation assembly.
 //
-// The scalar reference (tensor/mttkrp.hpp) walks the nonzeros in storage
-// order and scatters each contribution into a dims[mode] x rank output with
-// a thread-local-accumulator reduction. This layer instead counting-sorts
-// the nonzeros by their output row, partitions the rows into blocks whose
-// output tile fits the L2 budget, and runs the rank-dimension inner loops
-// through `#pragma omp simd` over restrict-qualified pointers so the
-// compiler vectorizes them (the TU is built with -march=native where
-// available, with FP contraction off so results stay bitwise-stable).
-// Because the counting sort is stable, every output element accumulates its
-// contributions in exactly the serial entry order: the blocked kernel is
+// The scalar reference (`sparse_mttkrp_serial`) walks the nonzeros in
+// storage order and scatters each contribution into a dims[mode] x rank
+// output. The production kernel instead counting-sorts the nonzeros by
+// their output row, partitions the rows into blocks whose output tile fits
+// the L2 budget, and runs the rank-dimension inner loops through
+// `#pragma omp simd` over restrict-qualified pointers so the compiler
+// vectorizes them (the TU is built with -march=native where available,
+// with FP contraction off so results stay bitwise-stable). Because the
+// counting sort is stable, every output element accumulates its
+// contributions in exactly the reference's entry order: the kernel is
 // bitwise-equal to `sparse_mttkrp_serial` per element, threads never share
-// an output row, and no reduction pass is needed.
+// an output row, and no reduction pass is needed. With one OpenMP thread
+// the same fused inner loops stream the nonzeros in storage order directly
+// (the bucketing would only re-derive that order).
 
 #include <cstddef>
 #include <vector>
@@ -29,7 +31,7 @@ namespace cpr::tensor {
 ///
 /// Built in O(nnz) by a stable counting sort, so the entry ids of each row
 /// are listed in ascending storage order — the accumulation order of the
-/// serial reference kernel.
+/// reference kernel.
 class RowBlocks {
  public:
   /// \brief Buckets the nonzeros of `t` along mode `mode`.
@@ -66,29 +68,6 @@ class RowBlocks {
   std::vector<std::size_t> row_offsets_;  ///< CSR offsets into sorted_, n_rows + 1
   std::vector<std::size_t> block_rows_;   ///< block row boundaries, n_blocks + 1
 };
-
-/// \brief Blocked SIMD sparse MTTKRP for the given mode.
-/// \param t     the observed tensor.
-/// \param model CP factors; factor(mode) is not read.
-/// \param mode  output mode; `out` must be dims[mode] x rank and is
-///              overwritten.
-/// \param out   the MTTKRP result matrix.
-///
-/// Matches `sparse_mttkrp_serial` bitwise per element at any thread count
-/// (each row's contributions accumulate in storage order and rows are owned
-/// by exactly one block). With more than one OpenMP thread the nonzeros are
-/// bucketed into row blocks and the blocks run in parallel; with one thread
-/// the same fused SIMD inner loops stream the nonzeros in storage order
-/// directly (the bucketing would only re-derive that order).
-void sparse_mttkrp_blocked(const SparseTensor& t, const CpModel& model,
-                           std::size_t mode, linalg::Matrix& out);
-
-/// \brief Blocked MTTKRP over a prebuilt row partition (amortizes the
-///        counting sort across repeated calls with the same sparsity).
-/// \param blocks partition previously built for (`t`, `mode`, rank).
-void sparse_mttkrp_blocked(const SparseTensor& t, const CpModel& model,
-                           std::size_t mode, const RowBlocks& blocks,
-                           linalg::Matrix& out);
 
 /// \brief Packs the Hadamard rows of a list of nonzeros into a row block.
 /// \param model     CP factors.

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -214,8 +215,11 @@ PerfDiff diff_perf(const std::vector<PerfRecord>& current,
     }
     diff.deltas.push_back(std::move(delta));
   }
+  std::set<std::string> suites_run;
+  for (const auto& record : current) suites_run.insert(record.suite);
   for (const auto& record : baseline) {
-    if (reference.count({record.suite, record.name})) diff.missing.push_back(record);
+    if (!reference.count({record.suite, record.name})) continue;
+    (suites_run.count(record.suite) ? diff.dropped : diff.missing).push_back(record);
   }
   return diff;
 }

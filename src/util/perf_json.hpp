@@ -62,7 +62,8 @@ struct PerfDelta {
 /// \brief Result of diffing a merged run against the committed baseline.
 struct PerfDiff {
   std::vector<PerfDelta> deltas;      ///< one per current record, input order
-  std::vector<PerfRecord> missing;    ///< baseline cases absent from the run
+  std::vector<PerfRecord> missing;    ///< baseline cases of suites that did not run
+  std::vector<PerfRecord> dropped;    ///< baseline cases absent from a suite that ran
   std::size_t regressions = 0;        ///< deltas with regression == true
 };
 
@@ -73,9 +74,10 @@ struct PerfDiff {
 ///                  current/baseline above 1 + threshold is a regression.
 ///
 /// Cases are keyed by (suite, case name). Current cases without a baseline
-/// are reported with in_baseline = false (new cases never gate); baseline
-/// cases that did not run land in `missing` so a silently-skipped suite is
-/// visible.
+/// are reported with in_baseline = false (new cases never gate). A baseline
+/// case that did not run lands in `dropped` when its suite ran and emitted
+/// records (a renamed or removed case, which would otherwise silently lose
+/// its gate), and in `missing` when the whole suite was not run.
 PerfDiff diff_perf(const std::vector<PerfRecord>& current,
                    const std::vector<PerfRecord>& baseline, double threshold);
 

@@ -20,6 +20,7 @@
 #include "completion/ccd.hpp"
 #include "completion/loss.hpp"
 #include "completion/sgd.hpp"
+#include "completion/tucker_als.hpp"
 #include "tensor/mttkrp.hpp"
 #include "util/rng.hpp"
 
@@ -131,25 +132,51 @@ Problem make_multi_chunk_problem() {
   return make_low_rank_problem({24, 24, 24}, 3, 0.7, 41);
 }
 
+/// Asserts that `objective()` returns the same bits on 20 repeated calls at
+/// each of 1/2/4/8 threads as on one call at 1 thread.
+template <typename Objective>
+void expect_bitwise_identical_across_threads(const Objective& objective) {
+  const cpr::testing::ThreadCountGuard guard;
+  omp_set_num_threads(1);
+  const auto reference = std::bit_cast<std::uint64_t>(objective());
+  for (const int threads : {1, 2, 4, 8}) {
+    omp_set_num_threads(threads);
+    for (int call = 0; call < 20; ++call) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(objective()), reference)
+          << threads << " threads, call " << call;
+    }
+  }
+}
+
 TEST(Objective, BitwiseIdenticalAcrossCallsAndThreadCounts) {
   const auto problem = make_multi_chunk_problem();
   ASSERT_GT(problem.observed.nnz(), 2u * 4096u);
   CpModel model(problem.observed.dims(), 3);
   Rng rng(42);
   model.init_random(rng);
-  const cpr::testing::ThreadCountGuard guard;
-  omp_set_num_threads(1);
-  const auto reference =
-      std::bit_cast<std::uint64_t>(completion_objective(problem.observed, model, 1e-3));
-  for (const int threads : {1, 2, 4, 8}) {
-    omp_set_num_threads(threads);
-    for (int call = 0; call < 20; ++call) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                    completion_objective(problem.observed, model, 1e-3)),
-                reference)
-          << threads << " threads, call " << call;
-    }
-  }
+  expect_bitwise_identical_across_threads(
+      [&] { return completion_objective(problem.observed, model, 1e-3); });
+}
+
+TEST(Objective, AmnMlogq2BitwiseIdenticalAcrossCallsAndThreadCounts) {
+  // AMN's tol-driven stopping reads this objective's last bits too.
+  const auto problem = make_low_rank_problem({24, 24, 24}, 3, 0.7, 43, /*positive=*/true);
+  ASSERT_GT(problem.observed.nnz(), 2u * 4096u);
+  CpModel model(problem.observed.dims(), 3);
+  Rng rng(44);
+  model.init_positive(rng, 1.0, 0.4);
+  expect_bitwise_identical_across_threads(
+      [&] { return mlogq2_objective(problem.observed, model, 1e-3); });
+}
+
+TEST(Objective, TuckerBitwiseIdenticalAcrossCallsAndThreadCounts) {
+  const auto problem = make_multi_chunk_problem();
+  ASSERT_GT(problem.observed.nnz(), 2u * 4096u);
+  tensor::TuckerModel model(problem.observed.dims(), {3, 3, 3});
+  Rng rng(45);
+  model.init_ones(rng, 0.3);
+  expect_bitwise_identical_across_threads(
+      [&] { return tucker_objective(problem.observed, model, 1e-3); });
 }
 
 TEST(Als, DefaultTolHistoryIdenticalAcrossThreadCounts) {

@@ -1,14 +1,16 @@
-// Equivalence suite for the blocked SIMD kernel layer (the CPR_KERNEL
-// tentpole): every blocked kernel must match its scalar reference to
-// <= 1e-12 at 1, 2, and 8 threads, mirroring the PR-1 thread-invariance
-// tests. Where the blocked design guarantees the exact serial accumulation
-// order (MTTKRP row buckets, the fused normal-equation tile, the vectorized
-// CP evaluation) the tests assert bitwise equality outright.
+// Equivalence suite for the blocked SIMD kernels: every production kernel
+// (sparse MTTKRP, the fused ALS normal-equation assembly, batched CPR
+// inference, the size-dispatched dense solves) is compared with a named
+// scalar reference at 1, 2, and 8 threads. The kernels keep the reference's
+// per-element accumulation order, so the comparisons are bitwise. This TU
+// is compiled with FP contraction off, like the kernels it checks, so the
+// references of reference_kernels.hpp round the same way.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "completion/als.hpp"
 #include "core/cpr_model.hpp"
@@ -17,10 +19,10 @@
 #include "linalg/fused.hpp"
 #include "linalg/qr.hpp"
 #include "omp_test_utils.hpp"
+#include "reference_kernels.hpp"
 #include "tensor/mttkrp.hpp"
 #include "tensor/mttkrp_blocked.hpp"
 #include "test_data.hpp"
-#include "util/kernel_mode.hpp"
 #include "util/rng.hpp"
 
 #ifdef CPR_HAVE_OPENMP
@@ -43,36 +45,6 @@ SparseTensor random_sparse(const Dims& dims, double density, std::uint64_t seed)
     if (rng.uniform() < density) t.push_back(idx, rng.normal());
   } while (tensor::next_index(idx, dims));
   return t;
-}
-
-TEST(KernelMode, ParsesAndRejects) {
-  EXPECT_EQ(kernel_mode_from_string("serial"), KernelMode::Serial);
-  EXPECT_EQ(kernel_mode_from_string("blocked"), KernelMode::Blocked);
-  EXPECT_THROW(kernel_mode_from_string("simd"), CheckError);
-  EXPECT_THROW(kernel_mode_from_string(""), CheckError);
-  EXPECT_STREQ(kernel_mode_name(KernelMode::Serial), "serial");
-  EXPECT_STREQ(kernel_mode_name(KernelMode::Blocked), "blocked");
-}
-
-TEST(KernelMode, DispatchSelectsTheRequestedKernel) {
-  // Both dispatch arms must agree with the serial reference on the same
-  // input; this pins the CPR_KERNEL plumbing itself.
-  const Dims dims{7, 6, 5};
-  const auto t = random_sparse(dims, 0.5, 11);
-  CpModel m(dims, 4);
-  Rng rng(12);
-  m.init_random(rng);
-  linalg::Matrix reference(dims[0], 4);
-  tensor::sparse_mttkrp_serial(t, m, 0, reference);
-
-  KernelModeGuard guard;
-  for (const KernelMode mode : {KernelMode::Serial, KernelMode::Blocked}) {
-    set_kernel_mode(mode);
-    linalg::Matrix out(dims[0], 4);
-    tensor::sparse_mttkrp(t, m, 0, out);
-    EXPECT_LT(linalg::max_abs_diff(out, reference), 1e-12)
-        << "mode " << kernel_mode_name(mode);
-  }
 }
 
 TEST(BlockedMttkrp, RowBlocksPartitionIsStableAndComplete) {
@@ -118,7 +90,7 @@ TEST(BlockedMttkrp, MatchesSerialAcrossOrdersRanksAndModes) {
         linalg::Matrix reference(dims[mode], rank);
         tensor::sparse_mttkrp_serial(t, m, mode, reference);
         linalg::Matrix out(dims[mode], rank);
-        tensor::sparse_mttkrp_blocked(t, m, mode, out);
+        tensor::sparse_mttkrp(t, m, mode, out);
         EXPECT_LT(linalg::max_abs_diff(out, reference), 1e-12)
             << "order " << dims.size() << " rank " << rank << " mode " << mode;
       }
@@ -138,7 +110,7 @@ TEST(BlockedMttkrp, BitwiseEqualToSerialInStorageOrder) {
     linalg::Matrix reference(dims[mode], 8);
     tensor::sparse_mttkrp_serial(t, m, mode, reference);
     linalg::Matrix out(dims[mode], 8);
-    tensor::sparse_mttkrp_blocked(t, m, mode, out);
+    tensor::sparse_mttkrp(t, m, mode, out);
     EXPECT_EQ(linalg::max_abs_diff(out, reference), 0.0) << "mode " << mode;
   }
 }
@@ -157,13 +129,13 @@ TEST(BlockedMttkrp, ThreadCountInvariant) {
     for (const int threads : {1, 2, 8}) {
       omp_set_num_threads(threads);
       linalg::Matrix out(dims[mode], 6);
-      tensor::sparse_mttkrp_blocked(t, m, mode, out);
+      tensor::sparse_mttkrp(t, m, mode, out);
       EXPECT_LT(linalg::max_abs_diff(out, reference), 1e-12)
           << "mode " << mode << ", " << threads << " threads";
     }
 #else
     linalg::Matrix out(dims[mode], 6);
-    tensor::sparse_mttkrp_blocked(t, m, mode, out);
+    tensor::sparse_mttkrp(t, m, mode, out);
     EXPECT_LT(linalg::max_abs_diff(out, reference), 1e-12);
 #endif
   }
@@ -183,7 +155,7 @@ TEST(BlockedMttkrp, HandlesUnobservedRowsAndSingleRowConcentration) {
   linalg::Matrix reference(dims[1], 5);
   tensor::sparse_mttkrp_serial(t, m, 1, reference);
   linalg::Matrix out(dims[1], 5);
-  tensor::sparse_mttkrp_blocked(t, m, 1, out);
+  tensor::sparse_mttkrp(t, m, 1, out);
   EXPECT_EQ(linalg::max_abs_diff(out, reference), 0.0);
   for (std::size_t i = 0; i < dims[1]; ++i) {
     if (i == 17) continue;
@@ -234,14 +206,7 @@ TEST(FusedGramRhs, BitwiseEqualToScalarAssembly) {
 
       linalg::fused_gram_rhs(z.data(), w.data(), n_rows, rank, gram, rhs);
 
-      // Scalar reference: the per-entry assembly of the serial ALS row solve.
-      for (std::size_t b = 0; b < n_rows; ++b) {
-        const double* zb = z.data() + b * rank;
-        for (std::size_t r = 0; r < rank; ++r) {
-          rhs_ref[r] += w[b] * zb[r];
-          for (std::size_t s = r; s < rank; ++s) gram_ref(r, s) += zb[r] * zb[s];
-        }
-      }
+      reference::gram_rhs(z.data(), w.data(), n_rows, rank, gram_ref, rhs_ref);
       for (std::size_t r = 0; r < rank; ++r) {
         EXPECT_EQ(rhs[r], rhs_ref[r]) << "rank " << rank << " rows " << n_rows;
         for (std::size_t s = 0; s < rank; ++s) {
@@ -281,8 +246,9 @@ TEST(FusedGramRhs, AccumulatesAcrossTiles) {
   }
 }
 
-TEST(BlockedAls, MatchesSerialModeAcrossThreadCounts) {
-  const Dims dims{10, 9, 8};
+TEST(BlockedAls, BitwiseEqualToScalarAssemblyAcrossThreadCounts) {
+  // Every slice holds more than one 64-entry assembly tile (~67-112 entries).
+  const Dims dims{12, 20, 16};
   const auto t = [&] {
     Rng rng(111);
     SparseTensor raw(dims);
@@ -297,34 +263,34 @@ TEST(BlockedAls, MatchesSerialModeAcrossThreadCounts) {
   completion::CompletionOptions options;
   options.max_sweeps = 5;
   options.tol = 0.0;
-
-  const auto run = [&](KernelMode mode) {
-    KernelModeGuard guard;
-    set_kernel_mode(mode);
+  options.rebalance = false;
+  const auto initial = [&] {
     CpModel model(dims, 4);
     Rng rng(112);
     model.init_ones(rng, 0.3);
-    completion::als_complete(t, model, options);
     return model;
   };
 
-  const CpModel reference = run(KernelMode::Serial);
-  const CpModel blocked = run(KernelMode::Blocked);
-  for (std::size_t j = 0; j < 3; ++j) {
-    EXPECT_LT(linalg::max_abs_diff(blocked.factor(j), reference.factor(j)), 1e-12)
-        << "factor " << j;
+  CpModel expected = initial();
+  for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
+    reference::als_sweep(t, expected, options.regularization);
   }
-
+  const auto check = [&](const std::string& label) {
+    CpModel model = initial();
+    completion::als_complete(t, model, options);
+    for (std::size_t j = 0; j < 3; ++j) {
+      EXPECT_EQ(linalg::max_abs_diff(model.factor(j), expected.factor(j)), 0.0)
+          << label << ", factor " << j;
+    }
+  };
 #ifdef CPR_HAVE_OPENMP
   const cpr::testing::ThreadCountGuard guard;
   for (const int threads : {1, 2, 8}) {
     omp_set_num_threads(threads);
-    const CpModel threaded = run(KernelMode::Blocked);
-    for (std::size_t j = 0; j < 3; ++j) {
-      EXPECT_LT(linalg::max_abs_diff(threaded.factor(j), reference.factor(j)), 1e-12)
-          << threads << " threads, factor " << j;
-    }
+    check(std::to_string(threads) + " threads");
   }
+#else
+  check("serial build");
 #endif
 }
 
@@ -348,106 +314,95 @@ TEST(BlockedPredictBatch, BitwiseEqualToScalarPredictAcrossThreadCounts) {
     reference[i] = model.predict(x);
   }
 
-  KernelModeGuard mode_guard;
-  for (const KernelMode mode : {KernelMode::Serial, KernelMode::Blocked}) {
-    set_kernel_mode(mode);
-#ifdef CPR_HAVE_OPENMP
-    const cpr::testing::ThreadCountGuard guard;
-    for (const int threads : {1, 2, 8}) {
-      omp_set_num_threads(threads);
-      const auto batch = model.predict_batch(queries);
-      for (std::size_t i = 0; i < queries.rows(); ++i) {
-        EXPECT_EQ(batch[i], reference[i])
-            << kernel_mode_name(mode) << ", " << threads << " threads, row " << i;
-      }
-    }
-#else
-    const auto batch = model.predict_batch(queries);
-    for (std::size_t i = 0; i < queries.rows(); ++i) {
-      EXPECT_EQ(batch[i], reference[i]) << kernel_mode_name(mode) << ", row " << i;
-    }
-#endif
-  }
-}
-
-TEST(LinalgDispatch, SolveSpdAndLogdetMatchSerialAcrossModesAndThreads) {
-  // The dispatching Cholesky entry points must be bitwise-invisible: blocked
-  // mode routes n > 64 through the task-graph tiled factorization, and its
-  // results must equal the serial path exactly at any thread count.
-  Rng rng(131);
-  const std::size_t n = 100;
-  linalg::Matrix a(n, n);
-  {
-    linalg::Matrix g(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) g(i, j) = rng.normal();
-    }
-    linalg::syrk_tn(g, a);
-    for (std::size_t i = 0; i < n; ++i) a(i, i) += 0.5;
-  }
-  linalg::Vector b(n);
-  for (auto& v : b) v = rng.normal();
-
-  KernelModeGuard mode_guard;
-  set_kernel_mode(KernelMode::Serial);
-  const auto x_ref = linalg::solve_spd(a, b);
-  const auto logdet_ref = linalg::logdet_spd(a);
-  ASSERT_TRUE(x_ref.has_value() && logdet_ref.has_value());
-
-  const auto check = [&] {
-    const auto x = linalg::solve_spd(a, b);
-    const auto logdet = linalg::logdet_spd(a);
-    ASSERT_TRUE(x.has_value() && logdet.has_value());
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ((*x)[i], (*x_ref)[i]);
-    EXPECT_EQ(*logdet, *logdet_ref);
-  };
-
-  set_kernel_mode(KernelMode::Blocked);
 #ifdef CPR_HAVE_OPENMP
   const cpr::testing::ThreadCountGuard guard;
   for (const int threads : {1, 2, 8}) {
     omp_set_num_threads(threads);
-    check();
+    const auto batch = model.predict_batch(queries);
+    for (std::size_t i = 0; i < queries.rows(); ++i) {
+      EXPECT_EQ(batch[i], reference[i]) << threads << " threads, row " << i;
+    }
   }
 #else
-  check();
+  const auto batch = model.predict_batch(queries);
+  for (std::size_t i = 0; i < queries.rows(); ++i) {
+    EXPECT_EQ(batch[i], reference[i]) << "row " << i;
+  }
 #endif
 }
 
-TEST(LinalgDispatch, QrFactorMatchesSerialAcrossModes) {
+TEST(LinalgDispatch, SolveSpdAndLogdetMatchSerialReferenceAcrossSizesAndThreads) {
+  // CholeskyFactorization::compute routes n > 64 through the task-graph
+  // tiled factorization and n <= 64 through the serial cholesky_factor;
+  // either way the results must equal the free serial reference exactly at
+  // any thread count.
+  Rng rng(131);
+  for (const std::size_t n : {40u, 100u}) {
+    linalg::Matrix a(n, n);
+    {
+      linalg::Matrix g(n, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) g(i, j) = rng.normal();
+      }
+      linalg::syrk_tn(g, a);
+      for (std::size_t i = 0; i < n; ++i) a(i, i) += 0.5;
+    }
+    linalg::Vector b(n);
+    for (auto& v : b) v = rng.normal();
+
+    linalg::Matrix l = a;
+    ASSERT_TRUE(linalg::cholesky_factor(l));
+    linalg::Vector y_ref, x_ref;
+    linalg::forward_substitute(l, b, y_ref);
+    linalg::backward_substitute_t(l, y_ref, x_ref);
+    double half_logdet = 0.0;
+    for (std::size_t i = 0; i < n; ++i) half_logdet += std::log(l(i, i));
+    const double logdet_ref = 2.0 * half_logdet;
+
+    const auto check = [&](const std::string& label) {
+      const auto x = linalg::solve_spd(a, b);
+      const auto logdet = linalg::logdet_spd(a);
+      ASSERT_TRUE(x.has_value() && logdet.has_value()) << label;
+      for (std::size_t i = 0; i < n; ++i) ASSERT_EQ((*x)[i], x_ref[i]) << label;
+      EXPECT_EQ(*logdet, logdet_ref) << label;
+    };
+#ifdef CPR_HAVE_OPENMP
+    const cpr::testing::ThreadCountGuard guard;
+    for (const int threads : {1, 2, 8}) {
+      omp_set_num_threads(threads);
+      check("n " + std::to_string(n) + ", " + std::to_string(threads) + " threads");
+    }
+#else
+    check("n " + std::to_string(n));
+#endif
+  }
+}
+
+TEST(LinalgDispatch, QrFactorMatchesSerialReference) {
   Rng rng(132);
   linalg::Matrix a(100, 70);
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t j = 0; j < a.cols(); ++j) a(i, j) = rng.normal();
   }
   const auto reference = linalg::qr_factor_serial(a);
-  KernelModeGuard guard;
-  for (const KernelMode mode : {KernelMode::Serial, KernelMode::Blocked}) {
-    set_kernel_mode(mode);
-    const auto fact = linalg::qr_factor(a);
-    EXPECT_EQ(linalg::max_abs_diff(fact.qr, reference.qr), 0.0)
-        << kernel_mode_name(mode);
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      ASSERT_EQ(fact.tau[k], reference.tau[k]) << kernel_mode_name(mode);
-    }
-  }
+  const auto fact = linalg::qr_factor(a);
+  EXPECT_EQ(linalg::max_abs_diff(fact.qr, reference.qr), 0.0);
+  for (std::size_t k = 0; k < a.cols(); ++k) ASSERT_EQ(fact.tau[k], reference.tau[k]);
 }
 
-TEST(LinalgDispatch, NonSpdFailurePropagatesInBothModes) {
-  // A matrix that is indefinite only in its trailing block: the blocked
-  // path's failing pivot sits in the last diagonal tile, after the whole
-  // task graph has executed.
-  Rng rng(133);
-  const std::size_t n = 100;
-  linalg::Matrix bad(n, n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) bad(i, i) = 1.0;
-  bad(n - 1, n - 1) = -1.0;
-  linalg::Vector b(n, 1.0);
-  KernelModeGuard guard;
-  for (const KernelMode mode : {KernelMode::Serial, KernelMode::Blocked}) {
-    set_kernel_mode(mode);
-    EXPECT_FALSE(linalg::solve_spd(bad, b, 0).has_value()) << kernel_mode_name(mode);
-    EXPECT_FALSE(linalg::logdet_spd(bad).has_value()) << kernel_mode_name(mode);
+TEST(LinalgDispatch, NonSpdFailurePropagatesAtEverySize) {
+  // A matrix that is indefinite only in its trailing block: at n = 100 the
+  // tiled path's failing pivot sits in the last diagonal tile, after the
+  // whole task graph has executed.
+  for (const std::size_t n : {40u, 100u}) {
+    linalg::Matrix bad(n, n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) bad(i, i) = 1.0;
+    bad(n - 1, n - 1) = -1.0;
+    linalg::Matrix reference = bad;
+    ASSERT_FALSE(linalg::cholesky_factor(reference));
+    linalg::Vector b(n, 1.0);
+    EXPECT_FALSE(linalg::solve_spd(bad, b, 0).has_value()) << "n " << n;
+    EXPECT_FALSE(linalg::logdet_spd(bad).has_value()) << "n " << n;
   }
 }
 
@@ -459,8 +414,6 @@ TEST(BlockedPredictBatch, PropagatesDomainErrors) {
   core::CprModel model(cpr::testdata::power_law_grid(6), options);
   model.fit(data);
 
-  KernelModeGuard guard;
-  set_kernel_mode(KernelMode::Blocked);
   // Wrong dimensionality: rejected on the calling thread before dispatch.
   linalg::Matrix wrong_shape(3, 3);
   EXPECT_THROW(model.predict_batch(wrong_shape), CheckError);

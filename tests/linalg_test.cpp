@@ -19,10 +19,8 @@
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
-#include "linalg/qr_tiled.hpp"
 #include "linalg/svd.hpp"
 #include "linalg/tiled_matrix.hpp"
-#include "util/kernel_mode.hpp"
 #include "util/rng.hpp"
 
 namespace cpr::linalg {
@@ -508,9 +506,10 @@ TEST(Lu, DetectsSingular) {
 }
 
 // ---------------------------------------------------------------------------
-// Tiled linalg layer (the CPR_KERNEL=blocked dense factorizations). The
-// design contract is bitwise equality with the serial references, so these
-// tests compare with EXPECT_EQ / max_abs_diff == 0, not a tolerance.
+// Tiled linalg layer (the Cholesky task graph used for n > 64 and the
+// panel-blocked qr_factor). The design contract is bitwise equality with the
+// serial references, so these tests compare with EXPECT_EQ /
+// max_abs_diff == 0, not a tolerance.
 
 TEST(TiledMatrix, RoundTripIsBitwiseLossless) {
   Rng rng(201);
@@ -609,45 +608,55 @@ TEST(TiledCholesky, FailsOnNonSpdWhereSerialFails) {
   }
 }
 
-TEST(CholeskyFactorization, MatchesFreeFunctionsAcrossModes) {
+TEST(CholeskyFactorization, MatchesFreeFunctionsAcrossSizes) {
+  // n = 40 takes the serial path, n = 100 the tiled one (past one 64-wide
+  // tile); both must reproduce the free serial reference exactly.
   Rng rng(403);
-  const std::size_t n = 100;  // past the tiled dispatch threshold
-  const Matrix a = random_spd(n, rng);
-  const Matrix b_multi = random_matrix(n, 3, rng);
-  Vector b(n);
-  for (auto& v : b) v = rng.normal();
+  for (const std::size_t n : {40u, 100u}) {
+    const Matrix a = random_spd(n, rng);
+    const Matrix b_multi = random_matrix(n, 3, rng);
+    Vector b(n);
+    for (auto& v : b) v = rng.normal();
 
-  KernelModeGuard guard;
-  set_kernel_mode(KernelMode::Serial);
-  const auto ref = CholeskyFactorization::compute(a);
-  ASSERT_TRUE(ref.has_value());
-  const Vector x_ref = ref->solve(b);
-  const Matrix xm_ref = ref->solve_multi(b_multi);
-  const double logdet_ref = ref->logdet();
+    Matrix l = a;
+    ASSERT_TRUE(cholesky_factor(l));
+    const auto reference_solve = [&](const Vector& rhs) {
+      Vector y, x;
+      forward_substitute(l, rhs, y);
+      backward_substitute_t(l, y, x);
+      return x;
+    };
+    const Vector x_ref = reference_solve(b);
+    Matrix xm_ref(n, 3);
+    for (std::size_t j = 0; j < 3; ++j) {
+      const Vector xj = reference_solve(b_multi.col(j));
+      for (std::size_t i = 0; i < n; ++i) xm_ref(i, j) = xj[i];
+    }
+    double half_logdet = 0.0;
+    for (std::size_t i = 0; i < n; ++i) half_logdet += std::log(l(i, i));
+    const double logdet_ref = 2.0 * half_logdet;
 
-  for (const KernelMode mode : {KernelMode::Serial, KernelMode::Blocked}) {
-    set_kernel_mode(mode);
     const auto fact = CholeskyFactorization::compute(a);
     ASSERT_TRUE(fact.has_value());
     EXPECT_EQ(fact->dimension(), n);
     EXPECT_EQ(fact->jitter_applied(), 0.0);
     // One factorization serves solve, multi-solve, and logdet; each must be
-    // bitwise-equal to the serial reference and to the free functions.
+    // bitwise-equal to the serial reference, and so must the free functions.
     const Vector x = fact->solve(b);
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(x[i], x_ref[i]);
-    EXPECT_EQ(max_abs_diff(fact->solve_multi(b_multi), xm_ref), 0.0);
-    EXPECT_EQ(fact->logdet(), logdet_ref);
-    EXPECT_EQ(max_abs_diff(fact->factor(), ref->factor()), 0.0);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(x[i], x_ref[i]) << "n " << n;
+    EXPECT_EQ(max_abs_diff(fact->solve_multi(b_multi), xm_ref), 0.0) << "n " << n;
+    EXPECT_EQ(fact->logdet(), logdet_ref) << "n " << n;
+    EXPECT_EQ(max_abs_diff(fact->factor(), l), 0.0) << "n " << n;
 
     const auto x_free = solve_spd(a, b);
     ASSERT_TRUE(x_free.has_value());
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ((*x_free)[i], x_ref[i]);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ((*x_free)[i], x_ref[i]) << "n " << n;
     const auto xm_free = solve_spd_multi(a, b_multi);
     ASSERT_TRUE(xm_free.has_value());
-    EXPECT_EQ(max_abs_diff(*xm_free, xm_ref), 0.0);
+    EXPECT_EQ(max_abs_diff(*xm_free, xm_ref), 0.0) << "n " << n;
     const auto ld_free = logdet_spd(a);
     ASSERT_TRUE(ld_free.has_value());
-    EXPECT_EQ(*ld_free, logdet_ref);
+    EXPECT_EQ(*ld_free, logdet_ref) << "n " << n;
   }
 }
 
@@ -675,20 +684,19 @@ TEST(CholeskyFactorization, JitterIsNotAccumulatedAcrossRetries) {
   EXPECT_EQ(max_abs_diff(fact->factor(), manual), 0.0);
 }
 
-TEST(CholeskyFactorization, FailurePropagatesAcrossModes) {
+TEST(CholeskyFactorization, FailurePropagatesAcrossSizes) {
   Rng rng(404);
-  Matrix bad = random_spd(100, rng);
-  bad(99, 99) = -100.0;  // indefinite, and only in the last tile
-  Vector b(100, 1.0);
-  KernelModeGuard guard;
-  for (const KernelMode mode : {KernelMode::Serial, KernelMode::Blocked}) {
-    set_kernel_mode(mode);
+  for (const std::size_t n : {40u, 100u}) {
+    Matrix bad = random_spd(n, rng);
+    bad(n - 1, n - 1) = -100.0;  // indefinite, and only in the last tile
+    Matrix reference = bad;
+    ASSERT_FALSE(cholesky_factor(reference)) << "n " << n;
+    Vector b(n, 1.0);
     // With zero retries the non-SPD failure must surface, not be papered
     // over by jitter.
-    EXPECT_FALSE(CholeskyFactorization::compute(bad, 0).has_value())
-        << kernel_mode_name(mode);
-    EXPECT_FALSE(solve_spd(bad, b, 0).has_value()) << kernel_mode_name(mode);
-    EXPECT_FALSE(logdet_spd(bad).has_value()) << kernel_mode_name(mode);
+    EXPECT_FALSE(CholeskyFactorization::compute(bad, 0).has_value()) << "n " << n;
+    EXPECT_FALSE(solve_spd(bad, b, 0).has_value()) << "n " << n;
+    EXPECT_FALSE(logdet_spd(bad).has_value()) << "n " << n;
   }
 }
 
@@ -699,7 +707,7 @@ TEST(QrBlocked, BitwiseEqualToSerial) {
   for (const auto& [m, n] : shapes) {
     const Matrix a = random_matrix(m, n, rng);
     const auto serial = qr_factor_serial(a);
-    const auto blocked = qr_factor_blocked(a);
+    const auto blocked = qr_factor(a);
     EXPECT_EQ(max_abs_diff(blocked.qr, serial.qr), 0.0) << m << "x" << n;
     ASSERT_EQ(blocked.tau.size(), serial.tau.size());
     for (std::size_t k = 0; k < n; ++k) {
@@ -718,7 +726,7 @@ TEST(QrBlocked, HandlesZeroColumns) {
   // exercises the norm accumulation over a sparse tail.
   for (std::size_t i = 10; i < 50; ++i) a(i, 3) = 0.0;
   const auto serial = qr_factor_serial(a);
-  const auto blocked = qr_factor_blocked(a);
+  const auto blocked = qr_factor(a);
   EXPECT_EQ(max_abs_diff(blocked.qr, serial.qr), 0.0);
   for (std::size_t k = 0; k < 40; ++k) ASSERT_EQ(blocked.tau[k], serial.tau[k]);
 }
@@ -731,7 +739,7 @@ TEST(QrBlocked, ThreadCountInvariant) {
   const cpr::testing::ThreadCountGuard guard;
   for (const int threads : {1, 2, 8}) {
     omp_set_num_threads(threads);
-    const auto blocked = qr_factor_blocked(a);
+    const auto blocked = qr_factor(a);
     EXPECT_EQ(max_abs_diff(blocked.qr, serial.qr), 0.0) << threads << " threads";
     for (std::size_t k = 0; k < 120; ++k) {
       ASSERT_EQ(blocked.tau[k], serial.tau[k]) << threads << " threads, k " << k;

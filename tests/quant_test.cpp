@@ -31,7 +31,6 @@
 #include "linalg/matrix.hpp"
 #include "test_data.hpp"
 #include "util/check.hpp"
-#include "util/kernel_mode.hpp"
 #include "util/quantize.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
@@ -145,9 +144,9 @@ TEST(QuantArchive, EveryFamilyRoundTripsUnderEveryMode) {
 // --- the fp32 dequantize-free predict path --------------------------------
 
 // A CPR model reloaded from an fp32 archive predicts through float factor
-// tiles; the serial/blocked bitwise invariant must survive that storage
-// switch, and batch must agree with scalar predict row for row.
-TEST(QuantArchive, Fp32CprSerialAndBlockedStayBitwiseEqual) {
+// tiles; the bitwise invariant between the vectorized batch kernel and
+// scalar predict() must survive that storage switch, row for row.
+TEST(QuantArchive, Fp32CprBatchStaysBitwiseEqualToPredict) {
   const Dataset train = sample_power_law(512, 3);
   auto model = ModelRegistry::instance().create("cpr", zoo_spec("cpr"));
   model->fit(train);
@@ -157,17 +156,10 @@ TEST(QuantArchive, Fp32CprSerialAndBlockedStayBitwiseEqual) {
   std::filesystem::remove(path);
 
   const Dataset probe = sample_power_law(257, 4);
-  const auto run = [&](KernelMode kernel) {
-    KernelModeGuard guard;
-    set_kernel_mode(kernel);
-    return loaded->predict_batch(probe.x);
-  };
-  const auto serial = run(KernelMode::Serial);
-  const auto blocked = run(KernelMode::Blocked);
-  ASSERT_EQ(serial.size(), probe.size());
+  const auto batch = loaded->predict_batch(probe.x);
+  ASSERT_EQ(batch.size(), probe.size());
   for (std::size_t i = 0; i < probe.size(); ++i) {
-    EXPECT_EQ(blocked[i], serial[i]) << "row " << i;
-    EXPECT_EQ(serial[i], loaded->predict(probe.config(i))) << "row " << i;
+    EXPECT_EQ(batch[i], loaded->predict(probe.config(i))) << "row " << i;
   }
 }
 

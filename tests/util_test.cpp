@@ -385,6 +385,7 @@ TEST(PerfJson, DiffFlagsRegressionsNewCasesAndMissingBaselines) {
       {"kernel_suite", "slower", 1.0, 0},
       {"kernel_suite", "faster", 1.0, 0},
       {"kernel_suite", "skipped", 1.0, 0},
+      {"serve_latency", "p99", 1.0, 0},
   };
   const std::vector<util::PerfRecord> current = {
       {"kernel_suite", "stable", 1.10, 0},   // within the 15% budget
@@ -401,8 +402,15 @@ TEST(PerfJson, DiffFlagsRegressionsNewCasesAndMissingBaselines) {
   EXPECT_FALSE(diff.deltas[3].in_baseline);
   EXPECT_FALSE(diff.deltas[3].regression);
   EXPECT_EQ(diff.regressions, 1u);
+  // kernel_suite ran and emitted records, so its absent case is dropped (a
+  // gate failure in cpr_bench); serve_latency did not run at all, so its
+  // case is only missing (exempt, e.g. under --quick).
+  ASSERT_EQ(diff.dropped.size(), 1u);
+  EXPECT_EQ(diff.dropped[0].suite, "kernel_suite");
+  EXPECT_EQ(diff.dropped[0].name, "skipped");
   ASSERT_EQ(diff.missing.size(), 1u);
-  EXPECT_EQ(diff.missing[0].name, "skipped");
+  EXPECT_EQ(diff.missing[0].suite, "serve_latency");
+  EXPECT_EQ(diff.missing[0].name, "p99");
 }
 
 TEST(PerfJson, DiffExactThresholdIsNotARegression) {

@@ -14,8 +14,10 @@
 //
 // The default suite set is every bench binary present in --bench-dir;
 // --quick restricts it to kernel_suite, the stable low-noise kernel set the
-// committed baseline covers. Baseline cases that did not run are reported,
-// and cases without a baseline never gate (they show as "new").
+// committed baseline covers. A baseline case missing from a suite that ran
+// fails the gate (a renamed or removed case must not silently lose its
+// gate); cases of suites that were not run are only reported, and cases
+// without a baseline never gate (they show as "new").
 
 #include <cstdio>
 #include <cstdlib>
@@ -260,12 +262,17 @@ int main(int argc, char** argv) {
     table.print(std::cout);
     for (const auto& record : diff.missing) {
       std::cout << "note: baseline case " << record.suite << "/" << record.name
-                << " did not run\n";
+                << " did not run (suite not run)\n";
+    }
+    for (const auto& record : diff.dropped) {
+      std::cout << "DROPPED: baseline case " << record.suite << "/" << record.name
+                << " did not run although its suite did\n";
     }
 
-    if (diff.regressions > 0) {
+    if (diff.regressions > 0 || !diff.dropped.empty()) {
       std::cout << "cpr_bench: " << diff.regressions << " case(s) regressed by more than "
-                << threshold * 100.0 << "% vs " << baseline_path << "\n";
+                << threshold * 100.0 << "% and " << diff.dropped.size()
+                << " gated case(s) dropped vs " << baseline_path << "\n";
       if (!args.has("no-gate")) return 1;
       std::cout << "(--no-gate: exiting 0 anyway)\n";
     } else {
