@@ -9,9 +9,11 @@
 // statistic for a regression gate). Each kernel is one case under its
 // production name; the kernels with a library reference (MTTKRP, Cholesky,
 // the SPD solve, QR) also time it as a `*_serial` case, so one JSON shows
-// the kernel speedup directly. Before any timing, every kernel is
-// cross-checked against its scalar reference (tests/reference_kernels.hpp
-// for the ALS and Gram+RHS assembly); a divergence aborts the run.
+// the kernel speedup directly. `predict_batch_call/rows<N>/{threads1,team}`
+// times predict_batch on micro-batches at one thread and at the nproc team.
+// Before any timing, every kernel is cross-checked against its scalar
+// reference (tests/reference_kernels.hpp for the ALS and Gram+RHS
+// assembly); a divergence aborts the run.
 //
 // Flags:
 //   --json=<path>      write perf records through the shared emitter
@@ -46,6 +48,10 @@
 #include "util/quantize.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
+
+#ifdef CPR_HAVE_OPENMP
+#include <omp.h>
+#endif
 
 namespace {
 
@@ -271,6 +277,26 @@ int main(int argc, char** argv) {
       }
       harness.run("predict_batch/1024",
                   [&] { (void)model.predict_batch(queries); });
+
+      // Micro-batch sweep: the same model called on the batch sizes the
+      // server's batcher issues, at one OpenMP thread and at the nproc team.
+      // Where the two meet is the predict_batch parallel-region threshold
+      // (core::kParallelPredictRows); below it both cases run the same code.
+      for (const std::size_t rows : {1, 4, 16, 64, 128, 256}) {
+        linalg::Matrix batch(rows, 3);
+        std::copy(queries.data(), queries.data() + rows * 3, batch.data());
+        const std::string name = "predict_batch_call/rows" + std::to_string(rows);
+#ifdef CPR_HAVE_OPENMP
+        const int team = omp_get_max_threads();
+        omp_set_num_threads(1);
+        harness.run(name + "/threads1", [&] { (void)model.predict_batch(batch); });
+        omp_set_num_threads(omp_get_num_procs());
+        harness.run(name + "/team", [&] { (void)model.predict_batch(batch); });
+        omp_set_num_threads(team);
+#else
+        harness.run(name + "/threads1", [&] { (void)model.predict_batch(batch); });
+#endif
+      }
     }
 
     // --- quantized-archive CPR inference --------------------------------

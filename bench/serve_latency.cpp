@@ -568,9 +568,10 @@ int main(int argc, char** argv) {
 
   {
     // Open-loop points: a well-provisioned server (default admission caps,
-    // warm prediction cache) under fixed offered load.
+    // the default work-conserving batcher, warm prediction cache) under
+    // fixed offered load.
     const ServerChild server = spawn_server(dir, /*max_inflight=*/1024,
-                                            /*max_wait_us=*/200,
+                                            serve::MicroBatcher::Options{}.max_wait_us,
                                             /*cache_capacity=*/4096);
     OpenLoopClient client(server.port, connections, seed);
     std::cerr << "serve_latency: " << client.connections()
@@ -601,7 +602,8 @@ int main(int argc, char** argv) {
 
   {
     // Overload point: admission capped at 8 in-flight requests, no cache,
-    // a slow batcher, and far more offered load than the server can take.
+    // a slow batcher (a deliberate 2 ms linger per batch), and far more
+    // offered load than the server can take.
     // Bounded admission means BUSY replies (the bench FAILS if none are
     // shed) while the admitted requests keep a bounded p99.9.
     const ServerChild server = spawn_server(dir, /*max_inflight=*/8,

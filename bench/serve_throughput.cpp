@@ -126,7 +126,6 @@ serve::ServerOptions server_options(std::size_t cache_capacity) {
   options.model_dir = ServeFixtureState::instance().dir();
   options.batcher.workers = 2;
   options.batcher.max_batch = 64;
-  options.batcher.max_wait_us = 100;
   options.cache_capacity = cache_capacity;
   return options;
 }

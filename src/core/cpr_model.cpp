@@ -236,7 +236,7 @@ std::vector<double> CprModel::predict_batch(const linalg::Matrix& configs) const
   // process); capture the first one and rethrow it on the calling thread.
   std::exception_ptr error;
 #ifdef CPR_HAVE_OPENMP
-#pragma omp parallel
+#pragma omp parallel if (n >= kParallelPredictRows)
 #endif
   {
     // Per-thread scratch, reused across every query of every tile the

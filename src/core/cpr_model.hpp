@@ -33,6 +33,12 @@ enum class CprInterpolation { LogSpace, ExpSpace };
 /// Completion optimizer used to fit the CP factors (Section 4.2.1).
 enum class CprOptimizer { Als, Ccd, Sgd };
 
+/// Smallest batch for which CprModel/OnlineCprModel::predict_batch open an
+/// OpenMP team. Smaller batches (the serving micro-batches) run on the
+/// calling thread: a team fork costs more than the work it could split
+/// (bench/kernel_suite `predict_batch_call/rows<N>/{threads1,team}`).
+inline constexpr std::size_t kParallelPredictRows = 128;
+
 /// How intra-cell observations aggregate into the cell's tensor entry.
 /// The paper uses the arithmetic mean and "leaves evaluation of alternative
 /// quadrature schemes to future work" (Section 5.1):
@@ -75,7 +81,8 @@ class CprModel final : public common::Regressor {
   /// per-thread scratch (allocation-free after the first query), and cell
   /// lookups run through a vectorized CP evaluation that keeps the scalar
   /// multiply/add order: row i equals predict(row i) bitwise, independent
-  /// of the thread count. A virtual override so polymorphic
+  /// of the thread count. Batches below kParallelPredictRows stay on the
+  /// calling thread. A virtual override so polymorphic
   /// callers (tools, evaluation) reach the batched path through Regressor*.
   std::vector<double> predict_batch(const linalg::Matrix& configs) const override;
 

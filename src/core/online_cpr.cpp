@@ -5,6 +5,7 @@
 #include <exception>
 #include <limits>
 
+#include "core/cpr_model.hpp"
 #include "tensor/multi_index.hpp"
 #include "util/rng.hpp"
 
@@ -130,7 +131,7 @@ std::vector<double> OnlineCprModel::predict_batch(const linalg::Matrix& configs)
   std::vector<double> out(configs.rows());
   std::exception_ptr error;
 #ifdef CPR_HAVE_OPENMP
-#pragma omp parallel
+#pragma omp parallel if (configs.rows() >= kParallelPredictRows)
 #endif
   {
     grid::Config scratch;

@@ -53,7 +53,8 @@ class OnlineCprModel final : public common::Regressor {
   double predict(const grid::Config& x) const override;
 
   /// Batched inference, parallelized over configurations with per-thread
-  /// scratch; row i equals predict(row i) bitwise.
+  /// scratch from kParallelPredictRows rows up; row i equals predict(row i)
+  /// bitwise.
   std::vector<double> predict_batch(const linalg::Matrix& configs) const override;
 
   std::size_t model_size_bytes() const override;

@@ -23,6 +23,7 @@ MicroBatcher::~MicroBatcher() {
     stopping_ = true;
   }
   not_empty_.notify_all();
+  arrived_.notify_all();
   not_full_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
@@ -48,6 +49,7 @@ std::future<double> MicroBatcher::submit(ModelHandle model, grid::Config config,
     ++stats_.submitted;
   }
   not_empty_.notify_one();
+  if (options_.max_wait_us > 0) arrived_.notify_all();
   return result;
 }
 
@@ -72,13 +74,14 @@ void MicroBatcher::run_batch(std::vector<Job>& batch) const {
   // Batch-wait closes when the batch starts executing: every member waited
   // from its own submit until now.
   const std::uint64_t picked_up_ns = obs::monotonic_ns();
-  const std::string batch_size = std::to_string(batch.size());
+  bool traced = false;
   for (const Job& job : batch) {
     if (options_.batch_wait_histogram) {
       options_.batch_wait_histogram->record(
           static_cast<double>(picked_up_ns - job.submitted_ns) * 1e-9);
     }
     if (job.trace) {
+      traced = true;
       obs::TraceSpan span;
       span.name = "batch_wait";
       span.start_ns = job.submitted_ns;
@@ -99,6 +102,7 @@ void MicroBatcher::run_batch(std::vector<Job>& batch) const {
       options_.predict_histogram->record(
           static_cast<double>(done_ns - picked_up_ns) * 1e-9);
     }
+    const std::string batch_size = traced ? std::to_string(batch.size()) : std::string();
     for (std::size_t i = 0; i < batch.size(); ++i) {
       if (batch[i].trace) {
         obs::TraceSpan span;
@@ -117,27 +121,29 @@ void MicroBatcher::run_batch(std::vector<Job>& batch) const {
 }
 
 void MicroBatcher::worker_loop() {
+  std::vector<Job> batch;
   for (;;) {
-    std::vector<Job> batch;
     {
       std::unique_lock<std::mutex> lock(mu_);
       not_empty_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping, fully drained
 
-      // Open a batch with the oldest request, then give same-model
-      // stragglers up to max_wait_us to join before flushing.
+      // Work-conserving: take the oldest request and every queued request
+      // for the same model, and run them now.
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
       const LoadedModel* key = batch.front().model.get();
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::microseconds(options_.max_wait_us);
-      for (;;) {
-        sweep_locked(batch, key);
-        if (batch.size() >= options_.max_batch || stopping_) break;
-        if (not_empty_.wait_until(lock, deadline) == std::cv_status::timeout) {
-          sweep_locked(batch, key);  // pick up arrivals that raced the timeout
-          break;
+      sweep_locked(batch, key);
+      if (options_.max_wait_us > 0) {
+        // Opt-in linger: give same-model stragglers up to max_wait_us to
+        // fill the batch before it runs.
+        const auto deadline = std::chrono::steady_clock::now() +
+                              std::chrono::microseconds(options_.max_wait_us);
+        while (batch.size() < options_.max_batch && !stopping_ &&
+               arrived_.wait_until(lock, deadline) == std::cv_status::no_timeout) {
+          sweep_locked(batch, key);
         }
+        sweep_locked(batch, key);  // pick up arrivals that raced the timeout
       }
       ++stats_.batches;
       stats_.max_batch_seen = std::max(stats_.max_batch_seen,
@@ -145,6 +151,7 @@ void MicroBatcher::worker_loop() {
     }
     not_full_.notify_all();
     run_batch(batch);
+    batch.clear();
   }
 }
 

@@ -2,14 +2,18 @@
 // Request coalescing for the serving layer.
 //
 // Concurrent single-point PREDICT requests are expensive to dispatch one by
-// one: every call pays virtual dispatch, OpenMP region entry, and (for
-// non-CPR families) per-row allocation. The MicroBatcher funnels requests
-// into a bounded queue from which a fixed pool of worker threads assembles
-// per-model batches — flushing when `max_batch` same-model requests are
-// queued or `max_wait_us` has elapsed since the batch opened — and executes
-// them through the family's predict_batch() override. Because every family
-// guarantees predict_batch row i == predict(row i) bitwise, batching is
-// invisible to clients: results are identical to serial evaluation no
+// one: every call pays virtual dispatch and (for non-CPR families) per-row
+// allocation. The MicroBatcher funnels requests into a bounded queue served
+// by a fixed pool of worker threads. The batcher is work-conserving: an idle
+// worker takes the oldest queued request plus every queued request for the
+// same model (up to `max_batch`) and runs them at once through the family's
+// predict_batch() override. Batches therefore form from requests that arrive
+// while the workers are busy — they grow with load and add no delay when
+// load is light (the Clipper design: Crankshaw et al., NSDI 2017).
+// `max_wait_us > 0` opts into a linger: the worker then waits up to that
+// long for same-model requests to join an under-full batch. Because every
+// family guarantees predict_batch row i == predict(row i) bitwise, batching
+// is invisible to clients: results are identical to serial evaluation no
 // matter how requests interleave.
 
 #include <chrono>
@@ -31,8 +35,9 @@ class MicroBatcher {
  public:
   struct Options {
     std::size_t workers = 2;         ///< inference worker threads
-    std::size_t max_batch = 64;      ///< flush a batch at this many requests
-    std::uint64_t max_wait_us = 200; ///< flush an under-full batch after this
+    std::size_t max_batch = 64;      ///< largest batch one predict_batch call runs
+    std::uint64_t max_wait_us = 0;   ///< linger for same-model requests to fill
+                                     ///< an under-full batch; 0 runs at once
     std::size_t queue_capacity = 4096;  ///< submit() blocks when full
 
     /// Optional stage histograms (owned by ServerStats): per-request queue
@@ -89,7 +94,11 @@ class MicroBatcher {
 
   Options options_;
   mutable std::mutex mu_;
-  std::condition_variable not_empty_;
+  std::condition_variable not_empty_;  ///< idle workers wait here for any job
+  /// Lingering workers wait here for same-model arrivals. A separate
+  /// variable keeps a linger from consuming the wake meant for an idle
+  /// worker, which would strand another model's request for the whole linger.
+  std::condition_variable arrived_;
   std::condition_variable not_full_;
   std::deque<Job> queue_;
   bool stopping_ = false;

@@ -1,7 +1,9 @@
 #include "serve/protocol.hpp"
 
+#include <array>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <sstream>
 
 #include "common/dataset_io.hpp"
 #include "util/check.hpp"
@@ -10,60 +12,114 @@ namespace cpr::serve {
 
 namespace {
 
-std::vector<std::string> tokenize(const std::string& line) {
-  std::istringstream stream(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (stream >> token) tokens.push_back(std::move(token));
-  return tokens;
+/// The whitespace-separated tokens of a request line, as
+/// `std::istream >> std::string` splits them (C-locale blanks). Only the
+/// first kMaxTokens are kept; `count` is the full number, for arity errors.
+struct Tokens {
+  static constexpr std::size_t kMaxTokens = 4;  ///< OBSERVE's arity
+  std::array<std::string_view, kMaxTokens> token;
+  std::size_t count = 0;
+};
+
+bool is_blank(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
 }
 
-void expect_arity(const std::vector<std::string>& tokens, std::size_t expected) {
-  CPR_CHECK_MSG(tokens.size() == expected,
-                "request '" << tokens.front() << "' takes " << expected - 1
-                            << " argument(s), got " << tokens.size() - 1);
+Tokens tokenize(std::string_view line) {
+  Tokens tokens;
+  std::size_t i = 0;
+  for (;;) {
+    while (i < line.size() && is_blank(line[i])) ++i;
+    if (i == line.size()) return tokens;
+    const std::size_t begin = i;
+    while (i < line.size() && !is_blank(line[i])) ++i;
+    if (tokens.count < Tokens::kMaxTokens) {
+      tokens.token[tokens.count] = line.substr(begin, i - begin);
+    }
+    ++tokens.count;
+  }
+}
+
+void expect_arity(const Tokens& tokens, std::size_t expected) {
+  CPR_CHECK_MSG(tokens.count == expected,
+                "request '" << tokens.token[0] << "' takes " << expected - 1
+                            << " argument(s), got " << tokens.count - 1);
+}
+
+/// The common case of common::parse_number: a field std::from_chars
+/// consumes exactly into a normal double. strtod agrees bitwise there (both
+/// round correctly). Zero, subnormal, non-finite, out-of-range, signed-plus,
+/// hex and malformed fields return false and take the common:: path, which
+/// decides acceptance and words any error.
+bool parse_normal(std::string_view field, double& value) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  return ec == std::errc() && ptr == end && std::isnormal(value);
+}
+
+double parse_field(std::string_view field, const char* context) {
+  double value = 0.0;
+  if (parse_normal(field, value)) return value;
+  return common::parse_number(std::string(field), context);
+}
+
+/// Parses a comma-separated value list into `values`, accepting exactly
+/// what common::split_fields + common::parse_number accept.
+void parse_values(std::string_view list, const char* context, grid::Config& values) {
+  values.clear();
+  for (std::size_t begin = 0;;) {
+    const std::size_t comma = list.find(',', begin);
+    const std::size_t end = comma == std::string_view::npos ? list.size() : comma;
+    double value = 0.0;
+    if (!parse_normal(list.substr(begin, end - begin), value)) {
+      // Re-parse the whole list the reference way: empty-entry errors take
+      // precedence over per-field ones, as in split-then-parse.
+      values.clear();
+      for (const auto& field : common::split_fields(std::string(list), ',', context)) {
+        values.push_back(common::parse_number(field, context));
+      }
+      return;
+    }
+    values.push_back(value);
+    if (comma == std::string_view::npos) return;
+    begin = comma + 1;
+  }
 }
 
 }  // namespace
 
-Request parse_request(const std::string& line) {
-  const auto tokens = tokenize(line);
-  CPR_CHECK_MSG(!tokens.empty(), "empty request");
-  const std::string& command = tokens.front();
+Request parse_request(std::string_view line) {
+  const Tokens tokens = tokenize(line);
+  CPR_CHECK_MSG(tokens.count > 0, "empty request");
+  const std::string_view command = tokens.token[0];
 
   Request request;
   if (command == "PREDICT") {
     expect_arity(tokens, 3);
     request.kind = RequestKind::Predict;
-    request.model = tokens[1];
-    for (const auto& field :
-         common::split_fields(tokens[2], ',', "PREDICT value list")) {
-      request.values.push_back(common::parse_number(field, "PREDICT value list"));
-    }
+    request.model = tokens.token[1];
+    parse_values(tokens.token[2], "PREDICT value list", request.values);
     CPR_CHECK_MSG(!request.values.empty(), "PREDICT needs at least one value");
   } else if (command == "OBSERVE") {
     expect_arity(tokens, 4);
     request.kind = RequestKind::Observe;
-    request.model = tokens[1];
-    for (const auto& field :
-         common::split_fields(tokens[2], ',', "OBSERVE value list")) {
-      request.values.push_back(common::parse_number(field, "OBSERVE value list"));
-    }
+    request.model = tokens.token[1];
+    parse_values(tokens.token[2], "OBSERVE value list", request.values);
     CPR_CHECK_MSG(!request.values.empty(), "OBSERVE needs at least one value");
-    request.seconds = common::parse_number(tokens[3], "OBSERVE seconds");
+    request.seconds = parse_field(tokens.token[3], "OBSERVE seconds");
     CPR_CHECK_MSG(request.seconds > 0.0, "OBSERVE seconds must be positive");
   } else if (command == "REFIT") {
     expect_arity(tokens, 2);
     request.kind = RequestKind::Refit;
-    request.model = tokens[1];
+    request.model = tokens.token[1];
   } else if (command == "LOAD") {
     expect_arity(tokens, 2);
     request.kind = RequestKind::Load;
-    request.model = tokens[1];
+    request.model = tokens.token[1];
   } else if (command == "UNLOAD") {
     expect_arity(tokens, 2);
     request.kind = RequestKind::Unload;
-    request.model = tokens[1];
+    request.model = tokens.token[1];
   } else if (command == "STATS") {
     expect_arity(tokens, 1);
     request.kind = RequestKind::Stats;
@@ -94,9 +150,9 @@ std::string format_prediction(double seconds) {
   return buffer;
 }
 
-bool is_frame_binary_request(const std::string& line) {
-  const auto tokens = tokenize(line);
-  return tokens.size() == 2 && tokens[0] == "FRAME" && tokens[1] == "BINARY";
+bool is_frame_binary_request(std::string_view line) {
+  const Tokens tokens = tokenize(line);
+  return tokens.count == 2 && tokens.token[0] == "FRAME" && tokens.token[1] == "BINARY";
 }
 
 std::string encode_frame(std::string_view payload) {
@@ -143,11 +199,8 @@ std::string format_error(const std::string& what) {
   // CheckError messages read "CPR_CHECK failed: (...) at file:line — cause";
   // everything before the em-dash is for developers, not protocol clients.
   const auto dash = what.rfind(" — ");
-  std::string reason =
-      dash == std::string::npos ? what : what.substr(dash + std::string(" — ").size());
-  std::ostringstream os;
-  os << "ERR " << reason;
-  return os.str();
+  return "ERR " +
+         (dash == std::string::npos ? what : what.substr(dash + std::string(" — ").size()));
 }
 
 }  // namespace cpr::serve

@@ -59,7 +59,7 @@ inline constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
 /// (`FRAME BINARY`, any run of blanks between tokens). Transports that
 /// support framing intercept this before Server::handle_line; elsewhere the
 /// verb falls through to parse_request's FRAME diagnostic.
-bool is_frame_binary_request(const std::string& line);
+bool is_frame_binary_request(std::string_view line);
 
 /// Wraps `payload` in a binary frame: 4-byte little-endian length + bytes.
 /// Throws CheckError when payload exceeds kMaxFrameBytes.
@@ -98,7 +98,9 @@ struct Request {
 };
 
 /// Parses one request line; throws CheckError on any grammar violation.
-Request parse_request(const std::string& line);
+/// Tokens are views into `line` and values are read with std::from_chars,
+/// so a PREDICT allocates only the Request's model name and value list.
+Request parse_request(std::string_view line);
 
 /// `OK <seconds>` with enough digits that the double round-trips exactly —
 /// a client parsing the reply recovers the bitwise prediction.

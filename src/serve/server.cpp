@@ -118,7 +118,7 @@ std::string Server::handle_refit(const Request& request) {
   return os.str();
 }
 
-std::string Server::handle_predict(const Request& request,
+std::string Server::handle_predict(Request& request,
                                    const obs::TraceHandle& trace,
                                    obs::SpanTimer& span) {
   const auto start = std::chrono::steady_clock::now();
@@ -138,7 +138,7 @@ std::string Server::handle_predict(const Request& request,
     span.arg("cache", "hit");
   } else {
     span.arg("cache", "miss");
-    prediction = batcher_.submit(model, request.values, trace).get();
+    prediction = batcher_.submit(model, std::move(request.values), trace).get();
     cache_.put(key, prediction);
   }
   stats_.record_predict(
@@ -157,7 +157,7 @@ Server::Reply Server::handle_line(const std::string& line,
                                   const obs::TraceHandle& trace) {
   Reply reply;
   try {
-    const Request request = parse_request(line);
+    Request request = parse_request(line);
     obs::SpanTimer span(trace, "handle");
     span.arg("verb", verb_name(request.kind));
     switch (request.kind) {

@@ -81,7 +81,8 @@ class Server {
   std::string metrics_text() const { return registry_.render(); }
 
  private:
-  std::string handle_predict(const Request& request, const obs::TraceHandle& trace,
+  /// Consumes `request.values` (moved into the batcher on a cache miss).
+  std::string handle_predict(Request& request, const obs::TraceHandle& trace,
                              obs::SpanTimer& span);
   std::string handle_observe(const Request& request);
   std::string handle_refit(const Request& request);

@@ -17,6 +17,7 @@
 #include "core/model_file.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "reference_protocol.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "test_data.hpp"
@@ -86,6 +87,39 @@ TEST(ProtocolFuzz, TruncatedAndMutatedValidLinesNeverCrash) {
     line[pos] = static_cast<char>(rng.uniform_int(0, 255));
     expect_total([](const std::string& l) { serve::parse_request(l); }, line,
                  "parse_request");
+  }
+}
+
+TEST(ProtocolFuzz, ParserMatchesTheReferenceOnRandomAndMutatedLines) {
+  // Random bytes rarely parse; mutations of numeric value lists exercise
+  // the from_chars fast path against std::stod field by field.
+  const auto check = [](const std::string& line) {
+    EXPECT_EQ(reference::describe_parse(
+                  [](const std::string& l) { return serve::parse_request(l); }, line),
+              reference::describe_parse(
+                  [](const std::string& l) { return reference::parse_request(l); }, line))
+        << "line: '" << line << "'";
+  };
+  Rng rng(4);
+  for (int i = 0; i < 2000; ++i) check(random_bytes(rng, 48));
+  const std::string alphabet = "0123456789+-.,eExXpPinfaINFA \t";
+  const std::string valid[] = {"PREDICT mm 1024,512.5,8e-3",
+                               "OBSERVE mm 1.5e3,-2,0.25 0.125"};
+  for (int i = 0; i < 20000; ++i) {
+    std::string line = valid[i % 2];
+    const int edits = static_cast<int>(rng.uniform_int(1, 3));
+    for (int e = 0; e < edits; ++e) {
+      const auto pos = static_cast<std::size_t>(
+          rng.uniform_int(8, static_cast<std::int64_t>(line.size()) - 1));
+      const char c = alphabet[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(alphabet.size()) - 1))];
+      switch (rng.uniform_int(0, 2)) {
+        case 0: line[pos] = c; break;
+        case 1: line.insert(pos, 1, c); break;
+        default: line.erase(pos, 1); break;
+      }
+    }
+    check(line);
   }
 }
 
@@ -159,7 +193,6 @@ TEST(ServerFuzz, RandomSessionsAlwaysGetOkOrErrReplies) {
   serve::ServerOptions options;
   options.model_dir = dir.path();
   options.batcher.workers = 2;
-  options.batcher.max_wait_us = 50;
   serve::Server server(options);
 
   Rng rng(3);
@@ -239,7 +272,6 @@ TEST(ServerFuzz, MetricsVerbStaysValidThroughHostileTraffic) {
   serve::ServerOptions options;
   options.model_dir = dir.path();
   options.batcher.workers = 2;
-  options.batcher.max_wait_us = 50;
   options.trace_sample = 1;
   serve::Server server(options);
 

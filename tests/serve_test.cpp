@@ -10,10 +10,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -26,6 +28,7 @@
 #include "core/model_file.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "reference_protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/tcp_server.hpp"
 #include "test_data.hpp"
@@ -103,46 +106,50 @@ TEST(MicroBatcher, ConcurrentProducersMatchSerialPredictBitwise) {
   const serve::ModelHandle cpr_handle = handle_for(fit_family("cpr"));
   const serve::ModelHandle knn_handle = handle_for(fit_family("knn"));
 
-  serve::MicroBatcher::Options options;
-  options.workers = 3;
-  options.max_batch = 16;
-  options.max_wait_us = 100;
-  serve::MicroBatcher batcher(options);
+  // The work-conserving default and an opt-in linger.
+  for (const std::uint64_t max_wait_us : {std::uint64_t{0}, std::uint64_t{100}}) {
+    SCOPED_TRACE("max_wait_us=" + std::to_string(max_wait_us));
+    serve::MicroBatcher::Options options;
+    options.workers = 3;
+    options.max_batch = 16;
+    options.max_wait_us = max_wait_us;
+    serve::MicroBatcher batcher(options);
 
-  constexpr std::size_t kThreads = 8;
-  constexpr std::size_t kPerThread = 64;
-  std::vector<std::vector<Config>> configs(kThreads);
-  std::vector<std::vector<std::future<double>>> futures(kThreads);
+    constexpr std::size_t kThreads = 8;
+    constexpr std::size_t kPerThread = 64;
+    std::vector<std::vector<Config>> configs(kThreads);
+    std::vector<std::vector<std::future<double>>> futures(kThreads);
 
-  std::vector<std::thread> producers;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    producers.emplace_back([&, t] {
-      Rng rng(1000 + t);
-      for (std::size_t i = 0; i < kPerThread; ++i) {
-        // Interleave the two families so batches must group per model.
-        const auto& handle = (i % 2 == 0) ? cpr_handle : knn_handle;
-        Config config = random_config(rng);
-        futures[t].push_back(batcher.submit(handle, config));
-        configs[t].push_back(std::move(config));
-      }
-    });
-  }
-  for (auto& producer : producers) producer.join();
-
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    for (std::size_t i = 0; i < kPerThread; ++i) {
-      const auto& handle = (i % 2 == 0) ? cpr_handle : knn_handle;
-      const double expected = handle->model->predict(configs[t][i]);
-      const double got = futures[t][i].get();
-      EXPECT_EQ(expected, got) << "thread " << t << " request " << i
-                               << " diverged from serial predict()";
+    std::vector<std::thread> producers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      producers.emplace_back([&, t] {
+        Rng rng(1000 + t);
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+          // Interleave the two families so batches must group per model.
+          const auto& handle = (i % 2 == 0) ? cpr_handle : knn_handle;
+          Config config = random_config(rng);
+          futures[t].push_back(batcher.submit(handle, config));
+          configs[t].push_back(std::move(config));
+        }
+      });
     }
-  }
+    for (auto& producer : producers) producer.join();
 
-  const auto stats = batcher.stats();
-  EXPECT_EQ(stats.submitted, kThreads * kPerThread);
-  EXPECT_GE(stats.batches, 1u);
-  EXPECT_LE(stats.max_batch_seen, options.max_batch);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        const auto& handle = (i % 2 == 0) ? cpr_handle : knn_handle;
+        const double expected = handle->model->predict(configs[t][i]);
+        const double got = futures[t][i].get();
+        EXPECT_EQ(expected, got) << "thread " << t << " request " << i
+                                 << " diverged from serial predict()";
+      }
+    }
+
+    const auto stats = batcher.stats();
+    EXPECT_EQ(stats.submitted, kThreads * kPerThread);
+    EXPECT_GE(stats.batches, 1u);
+    EXPECT_LE(stats.max_batch_seen, options.max_batch);
+  }
 }
 
 TEST(MicroBatcher, RejectsWrongArityAndPropagatesModelErrors) {
@@ -154,19 +161,155 @@ TEST(MicroBatcher, RejectsWrongArityAndPropagatesModelErrors) {
 
 TEST(MicroBatcher, DrainsQueuedWorkOnDestruction) {
   const serve::ModelHandle handle = handle_for(fit_family("cpr"));
-  std::vector<std::future<double>> futures;
-  {
-    serve::MicroBatcher::Options options;
-    options.workers = 1;
-    options.max_batch = 4;
-    options.max_wait_us = 50;
-    serve::MicroBatcher batcher(options);
-    Rng rng(3);
-    for (std::size_t i = 0; i < 64; ++i) {
-      futures.push_back(batcher.submit(handle, random_config(rng)));
+  for (const std::uint64_t max_wait_us : {std::uint64_t{0}, std::uint64_t{50}}) {
+    std::vector<std::future<double>> futures;
+    {
+      serve::MicroBatcher::Options options;
+      options.workers = 1;
+      options.max_batch = 4;
+      options.max_wait_us = max_wait_us;
+      serve::MicroBatcher batcher(options);
+      Rng rng(3);
+      for (std::size_t i = 0; i < 64; ++i) {
+        futures.push_back(batcher.submit(handle, random_config(rng)));
+      }
+    }  // destructor must resolve every promise
+    for (auto& future : futures) EXPECT_GT(future.get(), 0.0);
+  }
+}
+
+/// A cpr model whose predict_batch blocks while its gate is closed, so a
+/// test can hold a batcher worker busy at a known point. Registered as the
+/// `gated-cpr` family (factory and archive loader both wrap `cpr`).
+class GatedCpr : public common::Regressor {
+ public:
+  explicit GatedCpr(common::RegressorPtr inner) : inner_(std::move(inner)) {}
+
+  std::string name() const override { return "GatedCPR"; }
+  std::string type_tag() const override { return "gated-cpr"; }
+  std::size_t input_dims() const override { return inner_->input_dims(); }
+  void fit(const Dataset& train) override { inner_->fit(train); }
+  double predict(const Config& x) const override { return inner_->predict(x); }
+  std::size_t model_size_bytes() const override { return inner_->model_size_bytes(); }
+  void save(SerialSink& sink) const override { inner_->save(sink); }
+
+  std::vector<double> predict_batch(const linalg::Matrix& x) const override {
+    std::unique_lock<std::mutex> lock(gate_->mu);
+    ++gate_->entered;
+    gate_->cv.notify_all();
+    gate_->cv.wait(lock, [this] { return gate_->open; });
+    lock.unlock();
+    return inner_->predict_batch(x);
+  }
+
+  void close() {
+    std::lock_guard<std::mutex> lock(gate_->mu);
+    gate_->open = false;
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(gate_->mu);
+      gate_->open = true;
     }
-  }  // destructor must resolve every promise
-  for (auto& future : futures) EXPECT_GT(future.get(), 0.0);
+    gate_->cv.notify_all();
+  }
+  /// Blocks until `calls` predict_batch calls have entered the gate.
+  void wait_entered(int calls) {
+    std::unique_lock<std::mutex> lock(gate_->mu);
+    gate_->cv.wait(lock, [&] { return gate_->entered >= calls; });
+  }
+
+ private:
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool open = true;
+    int entered = 0;
+  };
+  common::RegressorPtr inner_;
+  std::unique_ptr<Gate> gate_ = std::make_unique<Gate>();
+};
+
+std::unique_ptr<GatedCpr> fit_gated_cpr() {
+  static const bool registered = [] {
+    auto& registry = ModelRegistry::instance();
+    registry.register_family(
+        "gated-cpr", "cpr whose predict_batch waits on a test gate",
+        [](const ModelSpec& spec) -> common::RegressorPtr {
+          return std::make_unique<GatedCpr>(ModelRegistry::instance().create("cpr", spec));
+        },
+        [](BufferSource& source) -> common::RegressorPtr {
+          return std::make_unique<GatedCpr>(ModelRegistry::instance().load("cpr", source));
+        });
+    return true;
+  }();
+  EXPECT_TRUE(registered);
+  auto model = ModelRegistry::instance().create("gated-cpr", zoo_spec("cpr"));
+  model->fit(sample_power_law(256, 7));
+  return std::unique_ptr<GatedCpr>(static_cast<GatedCpr*>(model.release()));
+}
+
+TEST(MicroBatcher, QueuedSameModelRequestsRunAsOneBatchWhenTheWorkerFrees) {
+  // Default options (no linger), one worker: the first request holds the
+  // worker inside predict_batch while K more requests queue behind it.
+  auto owned = fit_gated_cpr();
+  GatedCpr& gated = *owned;
+  const serve::ModelHandle handle = handle_for(std::move(owned));
+  serve::MicroBatcher::Options options;
+  options.workers = 1;
+  serve::MicroBatcher batcher(options);
+
+  constexpr std::size_t kQueued = 12;
+  Rng rng(5);
+  std::vector<Config> configs;
+  std::vector<std::future<double>> futures;
+  gated.close();
+  configs.push_back(random_config(rng));
+  futures.push_back(batcher.submit(handle, configs.back()));
+  gated.wait_entered(1);  // the worker now holds the first request
+  for (std::size_t i = 0; i < kQueued; ++i) {
+    configs.push_back(random_config(rng));
+    futures.push_back(batcher.submit(handle, configs.back()));
+  }
+  gated.open();
+
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(futures[i].get(), gated.predict(configs[i])) << "request " << i;
+  }
+  const auto stats = batcher.stats();
+  EXPECT_EQ(stats.submitted, kQueued + 1);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.max_batch_seen, kQueued);
+}
+
+TEST(MicroBatcher, LingerDoesNotStrandAnotherModelsRequest) {
+  // Two workers and a 100 ms linger. Model X's only request keeps one
+  // worker lingering for same-model company; model Y's requests (a full
+  // batch of 2) must go to the idle worker at once, not wait out X's linger.
+  const serve::ModelHandle x_handle = handle_for(fit_family("cpr"));
+  const serve::ModelHandle y_handle = handle_for(fit_family("knn"));
+  serve::MicroBatcher::Options options;
+  options.workers = 2;
+  options.max_batch = 2;
+  options.max_wait_us = 100'000;
+  serve::MicroBatcher batcher(options);
+
+  Rng rng(9);
+  for (int round = 0; round < 3; ++round) {
+    const Config x_config = random_config(rng);
+    std::future<double> x = batcher.submit(x_handle, x_config);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));  // X's worker lingers
+    const Config y0 = random_config(rng);
+    const Config y1 = random_config(rng);
+    const auto start = std::chrono::steady_clock::now();
+    std::future<double> first = batcher.submit(y_handle, y0);
+    std::future<double> second = batcher.submit(y_handle, y1);
+    EXPECT_EQ(first.get(), y_handle->model->predict(y0));
+    EXPECT_EQ(second.get(), y_handle->model->predict(y1));
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_LT(elapsed, std::chrono::milliseconds(50)) << "round " << round;
+    EXPECT_EQ(x.get(), x_handle->model->predict(x_config));
+  }
 }
 
 // ------------------------------------------------------------------ cache
@@ -492,6 +635,49 @@ TEST(Protocol, RejectsMalformedLines) {
   }
 }
 
+TEST(Protocol, ParserAcceptsExactlyWhatTheReferenceAccepts) {
+  // Field spellings at the edges of std::from_chars vs std::stod: signs,
+  // bare dots, signed zero, subnormal and out-of-range magnitudes,
+  // non-finite words, hex floats, dangling exponents, empty entries,
+  // trailing junk and embedded control bytes.
+  const std::vector<std::string> fields = {
+      "1", "+1", "-1", ".5", "5.", "-.5", "+.5", "-0", "0", "0.0", "-0.0",
+      "1e-310", "-1e-310", "1e-400", "1e400", "-1e400", "inf", "-inf", "infinity",
+      "nan", "NaN", "-nan", "nan(123)", "0x1p3", "0X10", "0x", "1e", "1e+", "1e-",
+      "1E5", "1e+5", "-1.25e-3", "4096", "1024.5", "00012", "0.1",
+      "2.2250738585072014e-308", "2.2250738585072011e-308",
+      "1.7976931348623157e308", "1.7976931348623159e308", "1.7976931348623158e308",
+      "123456789012345678901234567890", "0.30000000000000000000000000000001",
+      "1,,2", "1,", ",1", ",", "1.5e2junk", "12abc", "1_000", "1.2.3", "--1", "+-1",
+      "e5", ".", "-", "+", std::string("1\0", 2), "\xc2\xb5" "1"};
+  std::vector<std::string> lines = {
+      "", " ", "\t", "PREDICT", "PREDICT mm", "PREDICT mm 1 2", "OBSERVE mm 1",
+      "OBSERVE mm 1,2 3 4", "REFIT", "REFIT mm", "LOAD a b", "UNLOAD mm", "STATS",
+      "STATS now", "METRICS", "QUIT", "FRAME BINARY", "FRAME", "predict mm 1",
+      "  PREDICT \t mm \v 1,2 \f\r", "PREDICT\tmm\t1,2", "PREDICT  mm   3,4  "};
+  for (const std::string& a : fields) {
+    lines.push_back("PREDICT mm " + a);
+    lines.push_back("OBSERVE mm 1," + a + " 0.5");
+    lines.push_back("OBSERVE mm 1 " + a);
+    for (const std::string& b : fields) lines.push_back("PREDICT mm " + a + "," + b);
+  }
+  std::size_t accepted = 0;
+  for (const std::string& line : lines) {
+    const std::string expected = reference::describe_parse(
+        [](const std::string& l) { return reference::parse_request(l); }, line);
+    const std::string got = reference::describe_parse(
+        [](const std::string& l) { return serve::parse_request(l); }, line);
+    EXPECT_EQ(got, expected) << "line: '" << line << "'";
+    if (expected.rfind("kind=", 0) == 0) ++accepted;
+    EXPECT_EQ(serve::is_frame_binary_request(line),
+              reference::is_frame_binary_request(line))
+        << "line: '" << line << "'";
+  }
+  // The corpus exercises both outcomes heavily.
+  EXPECT_GT(accepted, 500u);
+  EXPECT_GT(lines.size() - accepted, 2000u);
+}
+
 TEST(Protocol, PredictionReplyRoundTripsBitwise) {
   for (const double value : {1.5e-6, 3.141592653589793, 8.67e4}) {
     const std::string reply = serve::format_prediction(value);
@@ -514,7 +700,6 @@ TEST(Server, SessionMatchesDirectEvaluationBitwise) {
   serve::ServerOptions options;
   options.model_dir = dir.path();
   options.batcher.workers = 2;
-  options.batcher.max_wait_us = 50;
   serve::Server server(options);
 
   EXPECT_EQ(server.handle_line("LOAD pl-cpr").text,
@@ -568,7 +753,6 @@ TEST(Server, LazyLoadOnPredictAndConcurrentClients) {
   options.model_dir = dir.path();
   options.batcher.workers = 2;
   options.batcher.max_batch = 8;
-  options.batcher.max_wait_us = 100;
   options.cache_capacity = 64;  // small: forces evictions under load
   serve::Server server(options);
 
@@ -613,7 +797,6 @@ TEST(Server, ObserveRefitPredictMatchesOfflineReplayBitwise) {
   serve::ServerOptions options;
   options.model_dir = dir.path();
   options.batcher.workers = 2;
-  options.batcher.max_wait_us = 50;
   serve::Server server(options);
 
   // The offline twin: the same archive replaying the same observations in
@@ -760,7 +943,6 @@ TEST(Server, GenerationSwapsStayBitwiseUnderConcurrentPredicts) {
   serve::ServerOptions options;
   options.model_dir = dir.path();
   options.batcher.workers = 2;
-  options.batcher.max_wait_us = 50;
   options.cache_capacity = 64;  // small: swaps + evictions under load
   serve::Server server(options);
 
@@ -921,7 +1103,7 @@ class TcpClient {
 /// A server over a fitted model directory plus its TCP front end.
 struct TcpFixture {
   explicit TcpFixture(serve::TcpServerOptions tcp_options = {},
-                      std::uint64_t batcher_max_wait_us = 50,
+                      std::uint64_t batcher_max_wait_us = 0,
                       std::size_t cache_capacity = 64)
       : dir("tcp"), model(fit_family("cpr")) {
     dir.save("pl", *model);
@@ -947,7 +1129,6 @@ TEST(TcpServer, LoopbackSessionMatchesHandleLineBitwise) {
   serve::ServerOptions reference_options;
   reference_options.model_dir = fixture.dir.path();
   reference_options.batcher.workers = 2;
-  reference_options.batcher.max_wait_us = 50;
   serve::Server reference(reference_options);
 
   TcpClient client(fixture.tcp->port());
@@ -1170,7 +1351,6 @@ TEST(Server, MetricsVerbRendersValidExposition) {
   dir.save("pl", *fit_family("cpr"));
   serve::ServerOptions options;
   options.model_dir = dir.path();
-  options.batcher.max_wait_us = 50;
   serve::Server server(options);
 
   for (int i = 0; i < 5; ++i) {
@@ -1203,7 +1383,6 @@ TEST(Server, StatsHistogramPercentilesAreReproducible) {
   dir.save("pl", *fit_family("cpr"));
   serve::ServerOptions options;
   options.model_dir = dir.path();
-  options.batcher.max_wait_us = 50;
   serve::Server server(options);
   for (int i = 0; i < 32; ++i) {
     server.handle_line("PREDICT pl 100," + std::to_string(100 + i));
@@ -1230,7 +1409,6 @@ TEST(Server, TraceSamplingCapturesSpanTaxonomy) {
   dir.save("pl", *fit_family("cpr"));
   serve::ServerOptions options;
   options.model_dir = dir.path();
-  options.batcher.max_wait_us = 50;
   options.trace_sample = 1;
   serve::Server server(options);
 
@@ -1257,7 +1435,6 @@ TEST(Server, TraceSamplingOffCollectsNothing) {
   dir.save("pl", *fit_family("cpr"));
   serve::ServerOptions options;
   options.model_dir = dir.path();
-  options.batcher.max_wait_us = 50;
   serve::Server server(options);  // trace_sample defaults to 0
 
   for (int i = 0; i < 8; ++i) server.handle_line("PREDICT pl 100,200");
@@ -1300,7 +1477,6 @@ TEST(Server, ConcurrentMetricsAndStatsWithTraffic) {
   dir.save("pl", *fit_family("cpr"));
   serve::ServerOptions options;
   options.model_dir = dir.path();
-  options.batcher.max_wait_us = 50;
   options.trace_sample = 2;
   serve::Server server(options);
 

@@ -6,11 +6,14 @@
 // loop, tens of thousands of connections, optional binary framing via
 // FRAME BINARY, bounded admission shedding with BUSY; QUIT closes only its
 // own connection). SIGINT/SIGTERM drain gracefully on every transport:
-// stop accepting, finish and flush in-flight requests, exit 0.
+// stop accepting, finish and flush in-flight requests, exit 0. Cache-miss
+// PREDICTs go through a work-conserving micro-batcher: an idle worker runs
+// every queued request for a model as one batch at once, with no batch
+// timer unless --max-wait-us opts into a linger.
 //
 // Usage:
 //   cpr_serve --models=<dir> [--socket=/tmp/cpr.sock | --tcp=<port>]
-//       [--threads=<n>] [--workers=2] [--max-batch=64] [--max-wait-us=200]
+//       [--threads=<n>] [--workers=2] [--max-batch=64] [--max-wait-us=0]
 //       [--cache=4096] [--cache-shards=8] [--io-threads=2]
 //       [--max-inflight=1024] [--max-backlog=1048576]
 //       [--trace-sample=<n>] [--trace-out=trace.json]
@@ -70,13 +73,16 @@ void usage(std::ostream& out) {
          "                      (default: 1024)\n"
          "  --max-backlog=<n>   TCP per-connection write-backlog bytes before\n"
          "                      requests get BUSY (default: 1048576)\n"
-         "  --threads=<n>       cap the OpenMP team used by predict_batch\n"
-         "                      (default: the OMP_NUM_THREADS environment)\n"
-         "  --workers=<n>       micro-batcher inference threads (default: 2)\n"
-         "  --max-batch=<n>     flush a batch at this many queued requests\n"
-         "                      (default: 64)\n"
-         "  --max-wait-us=<n>   flush an under-full batch after this wait\n"
-         "                      (default: 200)\n"
+         "  --threads=<n>       cap the OpenMP team predict_batch uses for\n"
+         "                      batches of 128+ rows; smaller batches run on\n"
+         "                      the worker thread (default: the\n"
+         "                      OMP_NUM_THREADS environment)\n"
+         "  --workers=<n>       micro-batcher inference threads; an idle\n"
+         "                      worker runs every queued request for one\n"
+         "                      model as a batch at once (default: 2)\n"
+         "  --max-batch=<n>     largest batch one worker runs (default: 64)\n"
+         "  --max-wait-us=<n>   linger this long for an under-full batch to\n"
+         "                      fill before running it (default: 0 = none)\n"
          "  --cache=<n>         prediction-cache entries, 0 disables\n"
          "                      (default: 4096)\n"
          "  --cache-shards=<n>  cache lock shards (default: 8)\n"
@@ -411,7 +417,7 @@ int main(int argc, char** argv) {
     options.batcher.workers = static_cast<std::size_t>(args.get_int("workers", 2));
     options.batcher.max_batch = static_cast<std::size_t>(args.get_int("max-batch", 64));
     options.batcher.max_wait_us =
-        static_cast<std::uint64_t>(args.get_int("max-wait-us", 200));
+        static_cast<std::uint64_t>(args.get_int("max-wait-us", 0));
     options.cache_capacity = static_cast<std::size_t>(args.get_int("cache", 4096));
     options.cache_shards = static_cast<std::size_t>(args.get_int("cache-shards", 8));
     options.trace_sample =
