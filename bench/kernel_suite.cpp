@@ -11,9 +11,11 @@
 // the SPD solve, QR) also time it as a `*_serial` case, so one JSON shows
 // the kernel speedup directly. `predict_batch_call/rows<N>/{threads1,team}`
 // times predict_batch on micro-batches at one thread and at the nproc team.
-// Before any timing, every kernel is cross-checked against its scalar
-// reference (tests/reference_kernels.hpp for the ALS and Gram+RHS
-// assembly); a divergence aborts the run.
+// `predict/d<k>/<storage>` times the separable Eq.-5 predict and
+// `predict_corners/d<k>/<storage>` its corner-loop oracle on the same
+// queries. Before any timing, every kernel is cross-checked against its
+// scalar reference (tests/reference_kernels.hpp for the ALS and Gram+RHS
+// assembly and the corner loop); a divergence aborts the run.
 //
 // Flags:
 //   --json=<path>      write perf records through the shared emitter
@@ -296,6 +298,60 @@ int main(int argc, char** argv) {
 #else
         harness.run(name + "/threads1", [&] { (void)model.predict_batch(batch); });
 #endif
+      }
+    }
+
+    // --- separable Eq.-5 predict vs the corner loop ----------------------
+    // predict() of a rank-16 CPR model on d log-spaced integral modes (8
+    // cells each, so 2^d corners) over 256 in-domain queries per iteration,
+    // with fp64 and fp32 factor storage. predict_corners runs the corner
+    // loop (Discretization::interpolate over CpModel::eval of the same
+    // storage, the predict path before the separable kernel) plus the same
+    // offset, clamp and exp. Reported, not gated (no baseline entries).
+    for (const std::size_t order : {std::size_t{3}, std::size_t{6}, std::size_t{9}}) {
+      std::vector<grid::ParameterSpec> specs;
+      for (std::size_t j = 0; j < order; ++j) {
+        specs.push_back(
+            grid::ParameterSpec::numerical_log("p" + std::to_string(j), 2, 1024, true));
+      }
+      const grid::Discretization disc(specs, 8);
+      tensor::CpModel init(disc.dims(), 16);
+      Rng rng(seed + 8);
+      init.init_ones(rng, 0.3);
+      const tensor::CpModel cp = reference::rounded_to_float(std::move(init));
+      constexpr double kLogOffset = -5.0, kLogMin = -50.0, kLogMax = 50.0;
+      std::vector<grid::Config> queries(256, grid::Config(order));
+      for (auto& x : queries) {
+        for (auto& v : x) v = rng.log_uniform(2, 1024);
+      }
+      for (const QuantMode storage : {QuantMode::F64, QuantMode::F32}) {
+        const auto model =
+            reference::cpr_with_state(disc, cp, kLogOffset, kLogMin, kLogMax, storage);
+        // The pinned contract of tests/kernels_test: the log prediction
+        // within 1e-13 of the corner loop's, relative to max(1, |oracle|).
+        for (const auto& x : queries) {
+          const double oracle = reference::corner_log_interpolate(disc, cp, x) + kLogOffset;
+          const double error = std::abs(std::log(model.predict(x)) - oracle);
+          if (error > 1e-13 * std::max(1.0, std::abs(oracle))) {
+            std::cerr << "error: separable predict diverged from the corner loop\n";
+            return 1;
+          }
+        }
+        const std::string suffix =
+            "/d" + std::to_string(order) + "/" + util::quant_mode_name(storage);
+        double sink = 0.0;
+        harness.run("predict" + suffix, [&] {
+          for (const auto& x : queries) sink += model.predict(x);
+        });
+        const tensor::CpModel& stored = model.cp();
+        harness.run("predict_corners" + suffix, [&] {
+          for (const auto& x : queries) {
+            sink += core::clamped_exp(
+                reference::corner_log_interpolate(disc, stored, x) + kLogOffset, kLogMin,
+                kLogMax);
+          }
+        });
+        if (!std::isfinite(sink)) std::cerr << "warning: non-finite prediction sum\n";
       }
     }
 

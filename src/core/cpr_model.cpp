@@ -2,72 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <limits>
 #include <unordered_map>
 
 #include "completion/ccd.hpp"
 #include "completion/sgd.hpp"
 #include "obs/profile.hpp"
-#include "util/simd.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
 namespace cpr::core {
-
-namespace {
-
-/// Vectorized CP element evaluation with caller scratch (`z` for fp64
-/// storage, `zf` for fp32 storage; both sized rank): elementwise products of
-/// the factor rows, then an in-order scalar sum. The multiply sequence per
-/// component and the summation order are exactly those of CpModel::eval in
-/// the matching storage mode, so the result is bitwise equal to it. The
-/// fp32 arm runs SIMD over the float tiles directly — no widening copy.
-double eval_cp_vectorized(const tensor::CpModel& cp, const tensor::Index& idx,
-                          std::vector<double>& z, std::vector<float>& zf) {
-  const std::size_t rank = cp.rank();
-  const std::size_t order = cp.order();
-  if (cp.f32_storage()) {
-    float* __restrict__ zp = zf.data();
-    const float* __restrict__ f0 = cp.f32_row_ptr(0, idx[0]);
-    if (order == 1) {
-      double total = 0.0;
-      for (std::size_t r = 0; r < rank; ++r) total += static_cast<double>(f0[r]);
-      return total;
-    }
-    const float* __restrict__ f1 = cp.f32_row_ptr(1, idx[1]);
-    CPR_SIMD
-    for (std::size_t r = 0; r < rank; ++r) zp[r] = f0[r] * f1[r];
-    for (std::size_t j = 2; j < order; ++j) {
-      const float* __restrict__ fj = cp.f32_row_ptr(j, idx[j]);
-      CPR_SIMD
-      for (std::size_t r = 0; r < rank; ++r) zp[r] *= fj[r];
-    }
-    double total = 0.0;
-    for (std::size_t r = 0; r < rank; ++r) total += static_cast<double>(zp[r]);
-    return total;
-  }
-  double* __restrict__ zp = z.data();
-  const double* __restrict__ f0 = cp.factor(0).row_ptr(idx[0]);
-  if (order == 1) {
-    double total = 0.0;
-    for (std::size_t r = 0; r < rank; ++r) total += f0[r];
-    return total;
-  }
-  const double* __restrict__ f1 = cp.factor(1).row_ptr(idx[1]);
-  CPR_SIMD
-  for (std::size_t r = 0; r < rank; ++r) zp[r] = f0[r] * f1[r];
-  for (std::size_t j = 2; j < order; ++j) {
-    const double* __restrict__ fj = cp.factor(j).row_ptr(idx[j]);
-    CPR_SIMD
-    for (std::size_t r = 0; r < rank; ++r) zp[r] *= fj[r];
-  }
-  double total = 0.0;
-  for (std::size_t r = 0; r < rank; ++r) total += zp[r];
-  return total;
-}
-
-}  // namespace
 
 CprModel::CprModel(grid::Discretization discretization, CprOptions options)
     : discretization_(std::move(discretization)), options_(options) {
@@ -186,21 +130,23 @@ double CprModel::eval_cell(const tensor::Index& idx) const {
 
 double CprModel::predict(const grid::Config& x) const {
   CPR_CHECK_MSG(fitted_, "CprModel::predict before fit");
-  grid::Config clamped = x;
-  return predict_in_place(clamped);
+  CPR_CHECK(x.size() == discretization_.order());
+  return predict_row(x.data());
 }
 
-double CprModel::predict_in_place(grid::Config& clamped) const {
-  // The interpolation model clamps coordinates into the modeling domain;
-  // configurations genuinely outside it belong to CprExtrapolationModel.
-  for (std::size_t j = 0; j < clamped.size(); ++j) {
-    const auto& p = discretization_.params()[j];
-    if (p.is_numerical()) clamped[j] = std::clamp(clamped[j], p.lo, p.hi);
-  }
+double CprModel::predict_row(const double* x) const {
   if (options_.interpolation == CprInterpolation::ExpSpace) {
-    // Literal Section-5.2 formula: m(x) = sum_a exp(t̂_{i+a}) w_a(x).
-    // Signed margin weights can push this non-positive; floor at 1e-16
-    // exactly as the paper does before computing MLogQ.
+    // Literal Section-5.2 formula: m(x) = sum_a exp(t̂_{i+a}) w_a(x), over
+    // the corners (exp does not factor). Signed margin weights can push this
+    // non-positive; floor at 1e-16 exactly as the paper does before
+    // computing MLogQ. The interpolation model clamps coordinates into the
+    // modeling domain; configurations genuinely outside it belong to
+    // CprExtrapolationModel.
+    grid::Config clamped(x, x + discretization_.order());
+    for (std::size_t j = 0; j < clamped.size(); ++j) {
+      const auto& p = discretization_.params()[j];
+      if (p.is_numerical()) clamped[j] = std::clamp(clamped[j], p.lo, p.hi);
+    }
     const double prediction = discretization_.interpolate(
         clamped, [this](const tensor::Index& idx) { return eval_cell(idx); });
     return std::max(prediction, 1e-16);
@@ -211,16 +157,8 @@ double CprModel::predict_in_place(grid::Config& clamped) const {
   // linear extrapolation (whose weights can be signed) inside the positive
   // orthant — the arithmetic form can produce negative predictions there,
   // which the paper floors at 1e-16.
-  double log_prediction =
-      discretization_.interpolate(
-          clamped, [this](const tensor::Index& idx) { return cp_.eval(idx); }) +
-      log_offset_;
-  // Safety clamp: grid cells whose factor rows were barely observed can
-  // reconstruct to wild exponents; no in-domain prediction should stray far
-  // beyond the observed range of log execution times.
-  constexpr double kLogMargin = 5.0;
-  log_prediction = std::clamp(log_prediction, log_min_ - kLogMargin, log_max_ + kLogMargin);
-  return std::exp(log_prediction);
+  return clamped_exp(cp_log_interpolate(discretization_, cp_, x) + log_offset_, log_min_,
+                     log_max_);
 }
 
 std::vector<double> CprModel::predict_batch(const linalg::Matrix& configs) const {
@@ -228,79 +166,7 @@ std::vector<double> CprModel::predict_batch(const linalg::Matrix& configs) const
   CPR_CHECK_MSG(configs.cols() == discretization_.order(),
                 "config batch dimensionality does not match the discretization");
   CPR_PROFILE_SCOPE("predict_batch");
-  std::vector<double> out(configs.rows());
-  const std::size_t n = configs.rows();
-  constexpr std::size_t kTile = 64;
-  const std::size_t n_tiles = (n + kTile - 1) / kTile;
-  // Exceptions must not unwind out of an OpenMP region (that terminates the
-  // process); capture the first one and rethrow it on the calling thread.
-  std::exception_ptr error;
-#ifdef CPR_HAVE_OPENMP
-#pragma omp parallel if (n >= kParallelPredictRows)
-#endif
-  {
-    // Per-thread scratch, reused across every query of every tile the
-    // thread owns: the config buffer, the Eq.-5 corner/weight buffers, and
-    // the CP product row. The hot loop is allocation-free after the first
-    // query.
-    grid::Config scratch;
-    grid::InterpolationScratch interp;
-    std::vector<double> z(cp_.rank());
-    std::vector<float> zf(cp_.rank());
-#ifdef CPR_HAVE_OPENMP
-#pragma omp for schedule(dynamic)
-#endif
-    for (std::size_t tile = 0; tile < n_tiles; ++tile) {
-      const std::size_t begin = tile * kTile;
-      const std::size_t end = std::min(n, begin + kTile);
-      try {
-        for (std::size_t i = begin; i < end; ++i) {
-          scratch.assign(configs.row_ptr(i), configs.row_ptr(i) + configs.cols());
-          out[i] = predict_in_place_blocked(scratch, interp, z, zf);
-        }
-      } catch (...) {
-#ifdef CPR_HAVE_OPENMP
-#pragma omp critical(cpr_predict_batch_error)
-#endif
-        if (!error) error = std::current_exception();
-      }
-    }
-  }
-  if (error) std::rethrow_exception(error);
-  return out;
-}
-
-double CprModel::predict_in_place_blocked(grid::Config& clamped,
-                                          grid::InterpolationScratch& interp,
-                                          std::vector<double>& z,
-                                          std::vector<float>& zf) const {
-  // Mirrors predict_in_place statement for statement; the only differences
-  // are the statically-dispatched interpolate_t and the vectorized (but
-  // bitwise-identical) CP evaluation.
-  for (std::size_t j = 0; j < clamped.size(); ++j) {
-    const auto& p = discretization_.params()[j];
-    if (p.is_numerical()) clamped[j] = std::clamp(clamped[j], p.lo, p.hi);
-  }
-  if (options_.interpolation == CprInterpolation::ExpSpace) {
-    const double prediction = discretization_.interpolate_t(
-        clamped,
-        [this, &z, &zf](const tensor::Index& idx) {
-          return std::exp(eval_cp_vectorized(cp_, idx, z, zf) + log_offset_);
-        },
-        nullptr, interp);
-    return std::max(prediction, 1e-16);
-  }
-  double log_prediction =
-      discretization_.interpolate_t(
-          clamped,
-          [this, &z, &zf](const tensor::Index& idx) {
-            return eval_cp_vectorized(cp_, idx, z, zf);
-          },
-          nullptr, interp) +
-      log_offset_;
-  constexpr double kLogMargin = 5.0;
-  log_prediction = std::clamp(log_prediction, log_min_ - kLogMargin, log_max_ + kLogMargin);
-  return std::exp(log_prediction);
+  return predict_rows(configs, [this](const double* x) { return predict_row(x); });
 }
 
 std::size_t CprModel::model_size_bytes() const {

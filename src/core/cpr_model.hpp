@@ -7,13 +7,17 @@
 // decomposition via ALS (least-squares loss on log values, i.e.
 // phi(t, t̂) = (log t - t̂)^2 in Eq. 3).
 //
-// Inference: Eq. 5 multilinear interpolation of exp(t̂_i) over the 2^d
-// neighboring grid mid-points in h-space (h = log for log-spaced modes),
-// with linear extrapolation inside the half-cell domain margins. The
-// exp(.) makes predictions positive without explicit constraints.
+// Inference: Eq. 5 multilinear interpolation of the log-scale estimates t̂_i
+// over the 2^k neighboring grid mid-points in h-space (h = log for
+// log-spaced modes), with linear extrapolation inside the half-cell domain
+// margins, then one exp(.), which makes predictions positive without
+// explicit constraints. Because t̂ is a CP product, the corner sum factors
+// mode by mode and costs O(d·R) (core/cp_predict). The ExpSpace ablation
+// interpolates exp(t̂_i) over the corners instead, as Section 5.2 writes it.
 
 #include "common/regressor.hpp"
 #include "completion/als.hpp"
+#include "core/cp_predict.hpp"
 #include "grid/discretization.hpp"
 #include "tensor/cp_model.hpp"
 
@@ -32,12 +36,6 @@ enum class CprInterpolation { LogSpace, ExpSpace };
 
 /// Completion optimizer used to fit the CP factors (Section 4.2.1).
 enum class CprOptimizer { Als, Ccd, Sgd };
-
-/// Smallest batch for which CprModel/OnlineCprModel::predict_batch open an
-/// OpenMP team. Smaller batches (the serving micro-batches) run on the
-/// calling thread: a team fork costs more than the work it could split
-/// (bench/kernel_suite `predict_batch_call/rows<N>/{threads1,team}`).
-inline constexpr std::size_t kParallelPredictRows = 128;
 
 /// How intra-cell observations aggregate into the cell's tensor entry.
 /// The paper uses the arithmetic mean and "leaves evaluation of alternative
@@ -76,13 +74,11 @@ class CprModel final : public common::Regressor {
   double predict(const grid::Config& x) const override;
   std::size_t model_size_bytes() const override;
 
-  /// Batched Eq.-5 inference over every row of `configs` (n x order).
-  /// Configurations are walked in tiles spread over the threads, each with
-  /// per-thread scratch (allocation-free after the first query), and cell
-  /// lookups run through a vectorized CP evaluation that keeps the scalar
-  /// multiply/add order: row i equals predict(row i) bitwise, independent
-  /// of the thread count. Batches below kParallelPredictRows stay on the
-  /// calling thread. A virtual override so polymorphic
+  /// Batched Eq.-5 inference over every row of `configs` (n x order): each
+  /// row runs predict()'s own code on the row in place (allocation-free in
+  /// the default LogSpace mode), in chunks spread over the threads from
+  /// kParallelPredictRows rows up, so row i equals predict(row i) bitwise,
+  /// independent of the thread count. A virtual override so polymorphic
   /// callers (tools, evaluation) reach the batched path through Regressor*.
   std::vector<double> predict_batch(const linalg::Matrix& configs) const override;
 
@@ -107,16 +103,9 @@ class CprModel final : public common::Regressor {
   static CprModel load_archive(BufferSource& source);
 
  private:
-  /// Eq.-5 inference with domain clamping done in place on `x` (which serves
-  /// as scratch): predict()'s body, and the reference predict_batch must
-  /// match bitwise.
-  double predict_in_place(grid::Config& x) const;
-
-  /// predict_in_place with caller-owned scratch (`interp` for Eq. 5, `z` /
-  /// `zf` of size rank for the fp64 / fp32 CP evaluation); semantics mirror
-  /// predict_in_place exactly.
-  double predict_in_place_blocked(grid::Config& x, grid::InterpolationScratch& interp,
-                                  std::vector<double>& z, std::vector<float>& zf) const;
+  /// Eq.-5 inference of one configuration (`order()` values): the body of
+  /// predict() and of every predict_batch row.
+  double predict_row(const double* x) const;
 
   grid::Discretization discretization_;
   CprOptions options_;

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <limits>
 
-#include "core/cpr_model.hpp"
+#include "core/cp_predict.hpp"
 #include "tensor/multi_index.hpp"
 #include "util/rng.hpp"
 
@@ -106,52 +105,20 @@ void OnlineCprModel::refresh() {
 
 double OnlineCprModel::predict(const grid::Config& x) const {
   CPR_CHECK_MSG(fitted_, "OnlineCprModel::predict before any refresh");
-  grid::Config clamped = x;
-  return predict_in_place(clamped);
+  CPR_CHECK(x.size() == discretization_.order());
+  return predict_row(x.data());
 }
 
-double OnlineCprModel::predict_in_place(grid::Config& clamped) const {
-  for (std::size_t j = 0; j < clamped.size(); ++j) {
-    const auto& p = discretization_.params()[j];
-    if (p.is_numerical()) clamped[j] = std::clamp(clamped[j], p.lo, p.hi);
-  }
-  double log_prediction =
-      discretization_.interpolate(
-          clamped, [this](const tensor::Index& idx) { return cp_.eval(idx); }) +
-      log_offset_;
-  constexpr double kLogMargin = 5.0;
-  log_prediction = std::clamp(log_prediction, log_min_ - kLogMargin, log_max_ + kLogMargin);
-  return std::exp(log_prediction);
+double OnlineCprModel::predict_row(const double* x) const {
+  return clamped_exp(cp_log_interpolate(discretization_, cp_, x) + log_offset_, log_min_,
+                     log_max_);
 }
 
 std::vector<double> OnlineCprModel::predict_batch(const linalg::Matrix& configs) const {
   CPR_CHECK_MSG(fitted_, "OnlineCprModel::predict_batch before any refresh");
   CPR_CHECK_MSG(configs.cols() == discretization_.order(),
                 "config batch dimensionality does not match the discretization");
-  std::vector<double> out(configs.rows());
-  std::exception_ptr error;
-#ifdef CPR_HAVE_OPENMP
-#pragma omp parallel if (configs.rows() >= kParallelPredictRows)
-#endif
-  {
-    grid::Config scratch;
-#ifdef CPR_HAVE_OPENMP
-#pragma omp for schedule(dynamic, 16)
-#endif
-    for (std::size_t i = 0; i < configs.rows(); ++i) {
-      try {
-        scratch.assign(configs.row_ptr(i), configs.row_ptr(i) + configs.cols());
-        out[i] = predict_in_place(scratch);
-      } catch (...) {
-#ifdef CPR_HAVE_OPENMP
-#pragma omp critical(online_cpr_predict_batch_error)
-#endif
-        if (!error) error = std::current_exception();
-      }
-    }
-  }
-  if (error) std::rethrow_exception(error);
-  return out;
+  return predict_rows(configs, [this](const double* x) { return predict_row(x); });
 }
 
 std::size_t OnlineCprModel::model_size_bytes() const {

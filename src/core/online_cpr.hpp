@@ -52,9 +52,8 @@ class OnlineCprModel final : public common::Regressor {
 
   double predict(const grid::Config& x) const override;
 
-  /// Batched inference, parallelized over configurations with per-thread
-  /// scratch from kParallelPredictRows rows up; row i equals predict(row i)
-  /// bitwise.
+  /// Batched inference: predict()'s code on each row in place, parallel
+  /// from kParallelPredictRows rows up; row i equals predict(row i) bitwise.
   std::vector<double> predict_batch(const linalg::Matrix& configs) const override;
 
   std::size_t model_size_bytes() const override;
@@ -71,7 +70,8 @@ class OnlineCprModel final : public common::Regressor {
 
  private:
   tensor::SparseTensor build_observed_tensor() const;
-  double predict_in_place(grid::Config& x) const;
+  /// Separable Eq.-5 inference of one configuration (`order()` values).
+  double predict_row(const double* x) const;
 
   grid::Discretization discretization_;
   OnlineCprOptions options_;

@@ -48,6 +48,7 @@ Discretization::Discretization(std::vector<ParameterSpec> params, std::size_t ce
 void Discretization::build() {
   boundaries_.assign(params_.size(), {});
   midpoints_.assign(params_.size(), {});
+  h_midpoints_.assign(params_.size(), {});
   for (std::size_t j = 0; j < params_.size(); ++j) {
     const auto& p = params_[j];
     const std::size_t cells = dims_[j];
@@ -117,6 +118,10 @@ void Discretization::build() {
                     "parameter '" << p.name << "': too many cells (" << cells
                                   << ") for its range — duplicate grid mid-points");
     }
+    // h_j(M_i) once per grid, not per query: mode_weights reads both
+    // bracketing values on every Eq.-5 evaluation.
+    h_midpoints_[j].resize(cells);
+    for (std::size_t i = 0; i < cells; ++i) h_midpoints_[j][i] = h(j, mids[i]);
   }
 }
 
@@ -195,16 +200,18 @@ ModeWeights Discretization::mode_weights(std::size_t j, double x) const {
     w.base = 0;
     return w;
   }
-  // Find the bracketing mid-point pair in h-space; coordinates in the
+  // Find the bracketing mid-point pair in h-space: the last i <= I_j - 2
+  // with M_i <= x (i = 0 below M_1, and for NaN). Coordinates in the
   // half-cell margins reuse the first/last pair (signed weights then
   // perform the linear extrapolation of Section 5.1).
   const double clamped = std::clamp(x, p.lo, p.hi);
-  std::size_t i = 0;
-  while (i + 2 < cells && clamped >= mids[i + 1]) ++i;
-  const double h_x = h(j, clamped);
-  const double h_lo = h(j, mids[i]);
-  const double h_hi = h(j, mids[i + 1]);
-  const double tt = (h_x - h_lo) / (h_hi - h_lo);
+  const auto inner = mids.begin() + 1;
+  const auto i = static_cast<std::size_t>(
+      std::partition_point(inner, mids.end() - 1,
+                           [clamped](double m) { return clamped >= m; }) -
+      inner);
+  const auto& h_mids = h_midpoints_[j];
+  const double tt = (h(j, clamped) - h_mids[i]) / (h_mids[i + 1] - h_mids[i]);
   w.base = i;
   w.weight_lo = 1.0 - tt;
   w.weight_hi = tt;
@@ -212,14 +219,51 @@ ModeWeights Discretization::mode_weights(std::size_t j, double x) const {
   return w;
 }
 
+ModeWeights Discretization::checked_mode_weights(std::size_t j, double x) const {
+  const ModeWeights w = mode_weights(j, x);
+  CPR_CHECK_MSG(!w.out_of_domain, "coordinate " << j << " outside the modeling domain — use the "
+                                                << "extrapolation model (Section 5.3)");
+  return w;
+}
+
 double Discretization::interpolate(
     const Config& x, const std::function<double(const tensor::Index&)>& eval,
     const std::vector<bool>* freeze) const {
-  // Single algorithm, two entry points: the batched hot path calls the
-  // template directly with reused scratch; this overload is the convenient
-  // polymorphic form.
-  InterpolationScratch scratch;
-  return interpolate_t(x, eval, freeze, scratch);
+  CPR_CHECK(x.size() == params_.size());
+  std::vector<ModeWeights> weights(params_.size());
+  for (std::size_t j = 0; j < params_.size(); ++j) {
+    if (freeze != nullptr && (*freeze)[j]) {
+      // Frozen mode: no interpolation; pin to the containing cell (treated
+      // like a categorical coordinate).
+      Config probe = x;
+      probe[j] = std::clamp(x[j], params_[j].lo, params_[j].hi);
+      weights[j].base = cell_of(probe)[j];
+    } else {
+      weights[j] = checked_mode_weights(j, x[j]);
+    }
+  }
+
+  // Enumerate the corners a in {0,1}^d (Eq. 5); modes without an upper
+  // neighbor contribute only a=0.
+  tensor::Index idx(params_.size());
+  std::vector<std::size_t> active;  // modes with two neighbors
+  for (std::size_t j = 0; j < params_.size(); ++j) {
+    idx[j] = weights[j].base;
+    if (weights[j].has_upper) active.push_back(j);
+  }
+  double total = 0.0;
+  const std::size_t corners = std::size_t{1} << active.size();
+  for (std::size_t mask = 0; mask < corners; ++mask) {
+    double weight = 1.0;
+    for (std::size_t b = 0; b < active.size(); ++b) {
+      const std::size_t j = active[b];
+      const bool upper = (mask >> b) & 1u;
+      idx[j] = weights[j].base + (upper ? 1 : 0);
+      weight *= upper ? weights[j].weight_hi : weights[j].weight_lo;
+    }
+    if (weight != 0.0) total += weight * eval(idx);
+  }
+  return total;
 }
 
 void Discretization::serialize(SerialSink& sink) const {

@@ -8,13 +8,14 @@
 // mid-point, ceil-rounded for integral log-spaced parameters, matching the
 // paper). Categorical parameters get one slot per choice.
 //
-// `interpolation_terms` produces the 2^k corner (index, weight) pairs of
-// Eq. 5, where k counts the numerical modes with two usable neighbors.
+// `interpolate` sums the 2^k corners of Eq. 5, where k counts the numerical
+// modes with two usable neighbors; it serves any per-cell estimate. CP-backed
+// models whose estimate is multilinear in the per-mode weights factor that
+// sum instead (core/cp_predict), from the same `mode_weights`.
 // Configurations in the half-cell margins [X_0, M_0) or [M_{I-1}, X_I] use
 // the same signed weights, which linearly extrapolate (one weight exceeds 1,
 // the other is negative) exactly as Section 5.1 prescribes.
 
-#include <algorithm>
 #include <functional>
 
 #include "grid/parameter.hpp"
@@ -30,15 +31,6 @@ struct ModeWeights {
   double weight_hi = 0.0;     ///< weight on `base + 1` (0 if no second neighbor)
   bool has_upper = false;     ///< true if base+1 participates
   bool out_of_domain = false; ///< x_j outside [X_0, X_I]: interpolation invalid
-};
-
-/// Reusable buffers for `Discretization::interpolate_t`: batched callers
-/// (the blocked predict_batch tiles) keep one per thread so Eq.-5 evaluation
-/// is allocation-free after the first query.
-struct InterpolationScratch {
-  std::vector<ModeWeights> weights;
-  std::vector<std::size_t> active;
-  tensor::Index idx;
 };
 
 class Discretization {
@@ -79,6 +71,13 @@ class Discretization {
   /// Neighbor slots and Eq.-5 weights along mode j at coordinate x_j.
   ModeWeights mode_weights(std::size_t j, double x) const;
 
+  /// mode_weights for an Eq.-5 evaluation: throws the "outside the modeling
+  /// domain" CheckError when x_j is out of domain (a categorical value out of
+  /// range, a numerical coordinate outside [lo, hi], or NaN). interpolate()
+  /// and the separable CP kernel (core/cp_predict) share it, so both report
+  /// the same error.
+  ModeWeights checked_mode_weights(std::size_t j, double x) const;
+
   /// Evaluates Eq. 5: sum over neighbor corners of weight * eval(index).
   /// `eval` maps a tensor multi-index to the (already back-transformed)
   /// element estimate. Modes listed in `freeze` (optional) contribute no
@@ -87,56 +86,6 @@ class Discretization {
   double interpolate(const Config& x,
                      const std::function<double(const tensor::Index&)>& eval,
                      const std::vector<bool>* freeze = nullptr) const;
-
-  /// Statically-dispatched Eq. 5 with caller-owned scratch: the exact
-  /// algorithm of interpolate() (which delegates here) minus the
-  /// std::function indirection and per-call allocations. The corner
-  /// enumeration and weight-product order are identical, so both overloads
-  /// agree bitwise for the same `eval`.
-  template <typename Eval>
-  double interpolate_t(const Config& x, Eval&& eval, const std::vector<bool>* freeze,
-                       InterpolationScratch& scratch) const {
-    CPR_CHECK(x.size() == params_.size());
-    scratch.weights.assign(params_.size(), ModeWeights{});
-    for (std::size_t j = 0; j < params_.size(); ++j) {
-      if (freeze != nullptr && (*freeze)[j]) {
-        // Frozen mode: no interpolation; pin to the containing cell (treated
-        // like a categorical coordinate).
-        ModeWeights w;
-        Config probe = x;
-        probe[j] = std::clamp(x[j], params_[j].lo, params_[j].hi);
-        w.base = cell_of(probe)[j];
-        scratch.weights[j] = w;
-      } else {
-        scratch.weights[j] = mode_weights(j, x[j]);
-        CPR_CHECK_MSG(!scratch.weights[j].out_of_domain,
-                      "coordinate " << j << " outside the modeling domain — use the "
-                                    << "extrapolation model (Section 5.3)");
-      }
-    }
-
-    // Enumerate the corners a in {0,1}^d (Eq. 5); modes without an upper
-    // neighbor contribute only a=0.
-    double total = 0.0;
-    scratch.idx.assign(params_.size(), 0);
-    scratch.active.clear();  // modes with two neighbors
-    for (std::size_t j = 0; j < params_.size(); ++j) {
-      scratch.idx[j] = scratch.weights[j].base;
-      if (scratch.weights[j].has_upper) scratch.active.push_back(j);
-    }
-    const std::size_t corners = std::size_t{1} << scratch.active.size();
-    for (std::size_t mask = 0; mask < corners; ++mask) {
-      double weight = 1.0;
-      for (std::size_t b = 0; b < scratch.active.size(); ++b) {
-        const std::size_t j = scratch.active[b];
-        const bool upper = (mask >> b) & 1u;
-        scratch.idx[j] = scratch.weights[j].base + (upper ? 1 : 0);
-        weight *= upper ? scratch.weights[j].weight_hi : scratch.weights[j].weight_lo;
-      }
-      if (weight != 0.0) total += weight * eval(scratch.idx);
-    }
-    return total;
-  }
 
   void serialize(SerialSink& sink) const;
   static Discretization deserialize(BufferSource& source);
@@ -148,6 +97,7 @@ class Discretization {
   tensor::Dims dims_;
   std::vector<std::vector<double>> boundaries_;  ///< per mode, I_j + 1 values
   std::vector<std::vector<double>> midpoints_;   ///< per mode, I_j values
+  std::vector<std::vector<double>> h_midpoints_; ///< per mode, h_j(M_i)
 };
 
 }  // namespace cpr::grid

@@ -19,9 +19,8 @@ CpModel::CpModel(Dims dims, std::size_t rank) : dims_(std::move(dims)), rank_(ra
 double CpModel::eval(const Index& idx) const {
   CPR_DCHECK(idx.size() == order());
   if (f32_) {
-    // Float arm: the same multiply sequence per component with a double
-    // accumulator, so it is bitwise equal to the vectorized float kernel of
-    // CprModel::predict_batch.
+    // Float arm: a float product per component, summed in a double
+    // accumulator.
     double total = 0.0;
     for (std::size_t r = 0; r < rank_; ++r) {
       float product = 1.0f;

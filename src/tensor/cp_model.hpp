@@ -40,11 +40,17 @@ class CpModel {
   /// widening pass. Only adopted when the narrowing is exact (every entry is
   /// float-representable — always true for values loaded from an fp32
   /// block), so serialize() round-trips bitwise; returns false and leaves
-  /// the model untouched otherwise. eval() and the vectorized predict_batch
-  /// kernel branch on f32_storage() with identical op order, keeping
-  /// predict() and predict_batch() bitwise equal.
+  /// the model untouched otherwise. The separable predict kernel
+  /// (core/cp_predict) widens the float rows into double arithmetic; eval()
+  /// keeps a float product with a double accumulator.
   bool adopt_f32_storage();
   bool f32_storage() const { return f32_; }
+
+  /// Row pointer into factor j (fp64 storage only).
+  const double* row_ptr(std::size_t j, std::size_t i) const {
+    CPR_DCHECK(!f32_ && j < factors_.size());
+    return factors_[j].row_ptr(i);
+  }
 
   /// Row pointer into the fp32 copy of factor j (f32_storage() only).
   const float* f32_row_ptr(std::size_t j, std::size_t i) const {

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "grid/discretization.hpp"
 #include "util/rng.hpp"
@@ -158,6 +162,71 @@ TEST(ModeWeights, LogSpacedUsesLogInterpolation) {
   const auto w = disc.mode_weights(0, geometric_middle);
   EXPECT_NEAR(w.weight_lo, 0.5, 1e-12);
   EXPECT_NEAR(w.weight_hi, 0.5, 1e-12);
+}
+
+/// The defining Eq.-5 weight formula, evaluated the long way: a linear scan
+/// for the bracketing mid-point pair and h() of both mid-points per query.
+ModeWeights weights_by_formula(const Discretization& disc, std::size_t j, double x) {
+  const auto& p = disc.params()[j];
+  ModeWeights w;
+  w.out_of_domain = !disc.in_domain(j, x);
+  const std::size_t cells = disc.dims()[j];
+  if (cells == 1) return w;
+  const double clamped = std::clamp(x, p.lo, p.hi);
+  std::size_t i = 0;
+  while (i + 2 < cells && clamped >= disc.midpoint(j, i + 1)) ++i;
+  const double h_x = disc.h(j, clamped);
+  const double h_lo = disc.h(j, disc.midpoint(j, i));
+  const double h_hi = disc.h(j, disc.midpoint(j, i + 1));
+  const double tt = (h_x - h_lo) / (h_hi - h_lo);
+  w.base = i;
+  w.weight_lo = 1.0 - tt;
+  w.weight_hi = tt;
+  w.has_upper = true;
+  return w;
+}
+
+// mode_weights reads h(M_i) precomputed by build() and finds the bracket by
+// binary search; both must reproduce the formula bit for bit, over every
+// cell, the mid-points and boundaries and their neighbors, the half-cell
+// margins, lo/hi, points outside [lo, hi], and NaN.
+TEST(ModeWeights, BitwiseEqualToTheLinearScanFormula) {
+  const std::vector<ParameterSpec> specs{
+      ParameterSpec::numerical_uniform("u", -3.0, 7.0),
+      ParameterSpec::numerical_uniform("ui", 0.0, 40.0, true),
+      ParameterSpec::numerical_log("l", 0.5, 300.0),
+      ParameterSpec::numerical_log("li", 1.0, 4096.0, true)};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  Rng rng(17);
+  for (const std::size_t cells : {1, 2, 3, 5, 8, 17, 64}) {
+    const Discretization disc(specs, cells);
+    for (std::size_t j = 0; j < specs.size(); ++j) {
+      const auto& p = disc.params()[j];
+      std::vector<double> probes{p.lo, p.hi, p.lo - 1.0, p.hi + 1.0,
+                                 std::numeric_limits<double>::quiet_NaN()};
+      const double inf = std::numeric_limits<double>::infinity();
+      for (std::size_t i = 0; i < disc.dims()[j]; ++i) {
+        const double m = disc.midpoint(j, i);
+        probes.insert(probes.end(), {m, std::nextafter(m, -inf), std::nextafter(m, inf)});
+        if (i + 1 < disc.dims()[j]) probes.push_back(0.5 * (m + disc.midpoint(j, i + 1)));
+      }
+      for (std::size_t k = 0; k <= disc.dims()[j]; ++k) probes.push_back(disc.boundary(j, k));
+      probes.push_back(0.5 * (p.lo + disc.midpoint(j, 0)));
+      probes.push_back(0.5 * (disc.midpoint(j, disc.dims()[j] - 1) + p.hi));
+      for (int trial = 0; trial < 50; ++trial) probes.push_back(rng.uniform(p.lo, p.hi));
+      for (const double x : probes) {
+        const ModeWeights got = disc.mode_weights(j, x);
+        const ModeWeights want = weights_by_formula(disc, j, x);
+        SCOPED_TRACE(p.name + " with " + std::to_string(disc.dims()[j]) + " cells at x = " +
+                     std::to_string(x));
+        EXPECT_EQ(got.base, want.base);
+        EXPECT_EQ(got.has_upper, want.has_upper);
+        EXPECT_EQ(got.out_of_domain, want.out_of_domain);
+        EXPECT_EQ(bits(got.weight_lo), bits(want.weight_lo));
+        EXPECT_EQ(bits(got.weight_hi), bits(want.weight_hi));
+      }
+    }
+  }
 }
 
 TEST(Interpolate, ReproducesMultilinearFunctionExactly) {

@@ -1,15 +1,21 @@
 // Equivalence suite for the blocked SIMD kernels: every production kernel
-// (sparse MTTKRP, the fused ALS normal-equation assembly, batched CPR
-// inference, the size-dispatched dense solves) is compared with a named
-// scalar reference at 1, 2, and 8 threads. The kernels keep the reference's
-// per-element accumulation order, so the comparisons are bitwise. This TU
-// is compiled with FP contraction off, like the kernels it checks, so the
-// references of reference_kernels.hpp round the same way.
+// (sparse MTTKRP, the fused ALS normal-equation assembly, the size-dispatched
+// dense solves) is compared with a named scalar reference at 1, 2, and 8
+// threads. The kernels keep the reference's per-element accumulation order,
+// so the comparisons are bitwise. The separable CP predict kernel is the
+// exception: it sums Eq. 5 in another order than its corner-loop oracle, so
+// it is held to a pinned tolerance, while predict_batch stays bitwise equal
+// to predict. This TU is compiled with FP contraction off, like the kernels
+// it checks, so the references of reference_kernels.hpp round the same way.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iomanip>
+#include <iostream>
 #include <limits>
+#include <memory>
+#include <sstream>
 #include <string>
 
 #include "completion/als.hpp"
@@ -419,7 +425,7 @@ TEST(BlockedPredictBatch, PropagatesDomainErrors) {
   EXPECT_THROW(model.predict_batch(wrong_shape), CheckError);
 
   // A NaN coordinate survives the domain clamp and is rejected inside the
-  // tiled OpenMP region by interpolate_t — the error must be captured there
+  // OpenMP region by the predict kernel — the error must be captured there
   // and rethrown on the calling thread, not terminate the process.
   linalg::Matrix poisoned(80, 2);
   for (std::size_t i = 0; i < poisoned.rows(); ++i) {
@@ -428,6 +434,282 @@ TEST(BlockedPredictBatch, PropagatesDomainErrors) {
   }
   poisoned(41, 1) = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(model.predict_batch(poisoned), CheckError);
+}
+
+// --- separable Eq.-5 inference against the corner loop --------------------
+//
+// cpr and cpr-online predict through core::cp_log_interpolate, which factors
+// the Eq.-5 corner sum mode by mode. Its oracle is the corner loop
+// (reference::corner_log_interpolate). The pinned contract: the log
+// prediction within 1e-13 of the oracle's, relative to max(1, |oracle|) —
+// an error of 1e-13 in log time is a 1e-13 relative error in seconds,
+// whatever the sign and size of the log value.
+
+constexpr double kSeparableTolerance = 1e-13;
+
+/// Runs `body(threads)` at 1, 2 and 8 OpenMP threads (once in a serial build).
+template <typename Body>
+void at_thread_counts(const Body& body) {
+#ifdef CPR_HAVE_OPENMP
+  const cpr::testing::ThreadCountGuard guard;
+  for (const int threads : {1, 2, 8}) {
+    omp_set_num_threads(threads);
+    body(threads);
+  }
+#else
+  body(1);
+#endif
+}
+
+/// A grid of `order` modes mixing categorical, uniform and log-spaced
+/// parameters, real and integral (integer mid-points), with one to eight
+/// requested cells per mode (single-cell modes included).
+grid::Discretization random_grid(std::size_t order, Rng& rng) {
+  std::vector<grid::ParameterSpec> specs;
+  std::vector<std::size_t> cells;
+  for (std::size_t j = 0; j < order; ++j) {
+    std::string name = "p";
+    name += std::to_string(j);
+    cells.push_back(static_cast<std::size_t>(rng.uniform_int(1, 8)));
+    switch (rng.uniform_int(0, 4)) {
+      case 0:
+        specs.push_back(grid::ParameterSpec::categorical(
+            name, static_cast<std::size_t>(rng.uniform_int(1, 4))));
+        break;
+      case 1: {
+        const double lo = rng.uniform(-5.0, 5.0);
+        specs.push_back(
+            grid::ParameterSpec::numerical_uniform(name, lo, lo + rng.uniform(0.5, 20.0)));
+        break;
+      }
+      case 2: {
+        const auto lo = static_cast<double>(rng.uniform_int(-10, 10));
+        const auto width = static_cast<double>(rng.uniform_int(1, 30));
+        specs.push_back(grid::ParameterSpec::numerical_uniform(name, lo, lo + width, true));
+        break;
+      }
+      case 3: {
+        const double lo = std::exp(rng.uniform(-3.0, 3.0));
+        specs.push_back(
+            grid::ParameterSpec::numerical_log(name, lo, lo * std::exp(rng.uniform(0.5, 5.0))));
+        break;
+      }
+      default: {
+        const auto lo = static_cast<double>(rng.uniform_int(1, 64));
+        const auto octaves = static_cast<double>(rng.uniform_int(1, 8));
+        specs.push_back(grid::ParameterSpec::numerical_log(name, lo, lo * std::exp2(octaves), true));
+      }
+    }
+  }
+  return grid::Discretization(std::move(specs), std::move(cells));
+}
+
+/// One query coordinate along mode j: a grid mid-point, lo or hi exactly, a
+/// point in a half-cell margin, a point outside [lo, hi] (both paths clamp
+/// it), or a random interior point; categorical modes draw a category.
+double random_coordinate(const grid::Discretization& disc, std::size_t j, Rng& rng) {
+  const auto& p = disc.params()[j];
+  const auto last_cell = static_cast<std::int64_t>(disc.dims()[j]) - 1;
+  if (!p.is_numerical()) return static_cast<double>(rng.uniform_int(0, last_cell));
+  const double width = p.hi - p.lo;
+  switch (rng.uniform_int(0, 5)) {
+    case 0:
+      return disc.midpoint(j, static_cast<std::size_t>(rng.uniform_int(0, last_cell)));
+    case 1:
+      return p.lo;
+    case 2:
+      return p.hi;
+    case 3:
+      return rng.uniform() < 0.5
+                 ? rng.uniform(p.lo, disc.midpoint(j, 0))
+                 : rng.uniform(disc.midpoint(j, static_cast<std::size_t>(last_cell)), p.hi);
+    case 4:
+      return rng.uniform() < 0.5 ? p.lo - rng.uniform(0.0, width) : p.hi + rng.uniform(0.0, width);
+    default:
+      return p.kind == grid::ParameterKind::NumericalLog ? rng.log_uniform(p.lo, p.hi)
+                                                         : rng.uniform(p.lo, p.hi);
+  }
+}
+
+std::string describe(const grid::Discretization& disc) {
+  std::ostringstream os;
+  os << std::setprecision(17);
+  for (std::size_t j = 0; j < disc.order(); ++j) {
+    const auto& p = disc.params()[j];
+    os << "\n  mode " << j << ": ";
+    if (!p.is_numerical()) {
+      os << "categorical, " << p.categories << " categories";
+      continue;
+    }
+    os << (p.kind == grid::ParameterKind::NumericalLog ? "log" : "uniform")
+       << (p.integral ? " integral" : "") << " [" << p.lo << ", " << p.hi << "], "
+       << disc.dims()[j] << " cells";
+  }
+  return os.str();
+}
+
+std::string describe(const grid::Config& x) {
+  std::ostringstream os;
+  os << std::setprecision(17) << "{";
+  for (std::size_t j = 0; j < x.size(); ++j) os << (j ? ", " : "") << x[j];
+  return os.str() + "}";
+}
+
+std::unique_ptr<common::Regressor> cp_model_with_state(const std::string& family,
+                                                       const grid::Discretization& disc,
+                                                       const CpModel& cp, double log_offset,
+                                                       QuantMode storage) {
+  // A wide observed log range: the safety clamp never binds here.
+  constexpr double kLogMin = -1e3, kLogMax = 1e3;
+  if (family == "cpr") {
+    return std::make_unique<core::CprModel>(
+        reference::cpr_with_state(disc, cp, log_offset, kLogMin, kLogMax, storage));
+  }
+  return std::make_unique<core::OnlineCprModel>(
+      reference::online_cpr_with_state(disc, cp, log_offset, kLogMin, kLogMax, storage));
+}
+
+// Orders 1-9 x ranks 1/8/33/65 (65: more than one 64-wide rank chunk of
+// the kernel) x {cpr, cpr-online} x {fp64, fp32} storage on seeded random
+// grids. The cases run smallest first and the test stops at
+// the first failure, so the case it prints is the minimal failing one.
+TEST(SeparablePredict, MatchesTheCornerLoopOnRandomGrids) {
+  constexpr std::size_t kQueries = 160;  // > kParallelPredictRows: the batch forks a team
+  double max_error = 0.0;
+  for (std::size_t order = 1; order <= 9; ++order) {
+    for (const std::size_t rank :
+         {std::size_t{1}, std::size_t{8}, std::size_t{33}, std::size_t{65}}) {
+      Rng rng(1000 * order + rank);
+      const grid::Discretization disc = random_grid(order, rng);
+      CpModel init(disc.dims(), rank);
+      init.init_ones(rng, 0.3);
+      // Float-representable factors: fp32 storage holds them exactly, so one
+      // oracle serves both storages.
+      const CpModel cp = reference::rounded_to_float(std::move(init));
+      const double log_offset = rng.uniform(-3.0, 3.0);
+      linalg::Matrix queries(kQueries, order);
+      std::vector<double> oracle(kQueries);
+      for (std::size_t i = 0; i < kQueries; ++i) {
+        for (std::size_t j = 0; j < order; ++j) queries(i, j) = random_coordinate(disc, j, rng);
+        const grid::Config x(queries.row_ptr(i), queries.row_ptr(i) + order);
+        oracle[i] = reference::corner_log_interpolate(disc, cp, x) + log_offset;
+      }
+      std::vector<double> fp64_predictions;
+      for (const std::string family : {"cpr", "cpr-online"}) {
+        for (const QuantMode storage : {QuantMode::F64, QuantMode::F32}) {
+          const auto model = cp_model_with_state(family, disc, cp, log_offset, storage);
+          const auto failing_case = [&](std::size_t i) {
+            std::ostringstream os;
+            os << std::setprecision(17) << "minimal failing case: " << family << ", "
+               << util::quant_mode_name(storage) << " storage, order " << order << ", rank "
+               << rank << ", factors init_ones(0.3) rounded to float from Rng("
+               << 1000 * order + rank << "), log_offset " << log_offset << ", grid:"
+               << describe(disc) << "\n  query row " << i << " "
+               << describe(grid::Config(queries.row_ptr(i), queries.row_ptr(i) + order))
+               << "\n  oracle log prediction " << oracle[i];
+            return os.str();
+          };
+          std::vector<double> predictions(kQueries);
+          for (std::size_t i = 0; i < kQueries; ++i) {
+            const grid::Config x(queries.row_ptr(i), queries.row_ptr(i) + order);
+            predictions[i] = model->predict(x);
+            const double error = std::abs(std::log(predictions[i]) - oracle[i]) /
+                                 std::max(1.0, std::abs(oracle[i]));
+            max_error = std::max(max_error, error);
+            if (!(error <= kSeparableTolerance)) {
+              ADD_FAILURE() << failing_case(i) << "\n  log prediction "
+                            << std::log(predictions[i]) << ", relative error " << error;
+              return;
+            }
+          }
+          if (storage == QuantMode::F64) {
+            fp64_predictions = predictions;
+          } else {
+            // The fp32 arm widens into double arithmetic: bitwise the fp64
+            // storage holding the same (float-representable) factors.
+            for (std::size_t i = 0; i < kQueries; ++i) {
+              if (predictions[i] != fp64_predictions[i]) {
+                ADD_FAILURE() << failing_case(i) << "\n  fp32 storage " << predictions[i]
+                              << " != fp64 storage " << fp64_predictions[i];
+                return;
+              }
+            }
+          }
+          bool batch_ok = true;
+          at_thread_counts([&](int threads) {
+            const auto batch = model->predict_batch(queries);
+            for (std::size_t i = 0; batch_ok && i < kQueries; ++i) {
+              if (batch[i] != predictions[i]) {
+                ADD_FAILURE() << failing_case(i) << "\n  predict_batch at " << threads
+                              << " threads " << batch[i] << " != predict " << predictions[i];
+                batch_ok = false;
+              }
+            }
+          });
+          if (!batch_ok) return;
+        }
+      }
+    }
+  }
+  std::cout << "max relative log-prediction error vs the corner loop: " << max_error << "\n";
+}
+
+// An out-of-range categorical value or a NaN coordinate is rejected with the
+// corner loop's CheckError, word for word, by predict and (rethrown from the
+// OpenMP region) by predict_batch.
+TEST(SeparablePredict, DomainErrorsMatchTheCornerLoopText) {
+  const grid::Discretization disc({grid::ParameterSpec::numerical_log("m", 2.0, 512.0, true),
+                                   grid::ParameterSpec::categorical("c", 3),
+                                   grid::ParameterSpec::numerical_uniform("u", 0.0, 1.0)},
+                                  4);
+  CpModel init(disc.dims(), 8);
+  Rng rng(3);
+  init.init_ones(rng, 0.3);
+  const CpModel cp = reference::rounded_to_float(std::move(init));
+  const auto error_text = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const CheckError& e) {
+      return e.what();
+    }
+    return "no CheckError";
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto outside = [](char mode) {
+    std::string message = "coordinate ";
+    message += mode;
+    message += " outside the modeling domain — use the extrapolation model (Section 5.3)";
+    return message;
+  };
+  const std::vector<std::pair<grid::Config, std::string>> bad{
+      {{16.0, 3.0, 0.5}, outside('1')},
+      {{16.0, -1.0, 0.5}, outside('1')},
+      {{16.0, 2.6, 0.5}, outside('1')},
+      {{nan, 1.0, 0.5}, outside('0')},
+      {{16.0, 1.0, nan}, outside('2')}};
+  for (const std::string family : {"cpr", "cpr-online"}) {
+    for (const QuantMode storage : {QuantMode::F64, QuantMode::F32}) {
+      const auto model = cp_model_with_state(family, disc, cp, 0.0, storage);
+      for (const auto& [x, message] : bad) {
+        SCOPED_TRACE(family + " " + util::quant_mode_name(storage) + " " + describe(x));
+        const std::string expected =
+            error_text([&] { (void)reference::corner_log_interpolate(disc, cp, x); });
+        EXPECT_NE(expected.find(message), std::string::npos) << expected;
+        EXPECT_EQ(error_text([&] { (void)model->predict(x); }), expected);
+        linalg::Matrix batch(160, 3);
+        for (std::size_t i = 0; i < batch.rows(); ++i) {
+          batch(i, 0) = 16.0;
+          batch(i, 1) = 1.0;
+          batch(i, 2) = 0.5;
+        }
+        std::copy(x.begin(), x.end(), batch.row_ptr(77));
+        at_thread_counts([&](int threads) {
+          EXPECT_EQ(error_text([&] { (void)model->predict_batch(batch); }), expected)
+              << threads << " threads";
+        });
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -566,7 +566,7 @@ TEST(Server, ObserveAndRefitOnQuantizedModelErrByName) {
   // Serving itself works.
   EXPECT_EQ(server.handle_line(predict_line("olq", {100.0, 200.0})).text.rfind("OK ", 0),
             0u);
-  for (const std::string line :
+  for (const std::string& line :
        {observe_line("olq", {100.0, 200.0}, 0.25), std::string("REFIT olq")}) {
     const auto reply = server.handle_line(line);
     EXPECT_EQ(reply.text.rfind("ERR ", 0), 0u) << reply.text;
