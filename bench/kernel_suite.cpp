@@ -1,8 +1,8 @@
 // kernel_suite — self-contained timing harness for the completion hot-path
 // kernels (sparse MTTKRP, the ALS sweep and its fused Gram+RHS assembly,
 // batched CPR inference). It is the perf-tracked core of the cpr_bench
-// regression gate: unlike micro_kernels it needs no google-benchmark, so it
-// is always built and its case set is stable across machines.
+// regression gate: it needs no google-benchmark, so it is always built and
+// its case set is stable across machines.
 //
 // Each case is auto-calibrated to a minimum wall time and reports the
 // minimum per-iteration seconds over --repeats runs (the low-noise
@@ -13,7 +13,9 @@
 // times predict_batch on micro-batches at one thread and at the nproc team.
 // `predict/d<k>/<storage>` times the separable Eq.-5 predict and
 // `predict_corners/d<k>/<storage>` its corner-loop oracle on the same
-// queries. Before any timing, every kernel is cross-checked against its
+// queries. The ungated `amn_sweep/rank4` (one MLogQ² Newton sweep of CPR-E's
+// AMN solver) and `rank1_svd/64x16` (its extrapolation step) track CPR-E's
+// fit. Before any timing, every kernel is cross-checked against its
 // scalar reference (tests/reference_kernels.hpp for the ALS and Gram+RHS
 // assembly and the corner loop); a divergence aborts the run.
 //
@@ -35,6 +37,7 @@
 
 #include "bench_common.hpp"
 #include "completion/als.hpp"
+#include "completion/generalized.hpp"
 #include "core/cpr_model.hpp"
 #include "core/model_file.hpp"
 #include "grid/discretization.hpp"
@@ -43,6 +46,7 @@
 #include "linalg/fused.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
+#include "linalg/svd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "reference_kernels.hpp"
@@ -155,9 +159,10 @@ int main(int argc, char** argv) {
         << "usage: kernel_suite [--json=<path>] [--repeats=5] [--min-time-ms=50]\n"
            "                    [--filter=<substr>] [--seed=1]\n\n"
            "Times the completion hot-path kernels (MTTKRP, ALS sweep,\n"
-           "Gram+RHS, predict_batch, dense factorizations) plus the serial\n"
-           "references of MTTKRP, Cholesky, the SPD solve and QR, and writes\n"
-           "perf records for the cpr_bench regression gate.\n\n"
+           "Gram+RHS, predict_batch, dense factorizations, CPR-E's AMN sweep\n"
+           "and rank-1 SVD) plus the serial references of MTTKRP, Cholesky,\n"
+           "the SPD solve and QR, and writes perf records for the cpr_bench\n"
+           "regression gate.\n\n"
            "  --json=<path>      write perf records (suite/case/seconds/model_bytes)\n"
            "  --repeats=<n>      timing repetitions per case (default: 5)\n"
            "  --min-time-ms=<n>  minimum timed interval per repetition (default: 50)\n"
@@ -224,6 +229,28 @@ int main(int argc, char** argv) {
         }
       }
       harness.run("als_sweep/rank8", sweep);
+    }
+
+    // --- CPR-E's fit: one AMN sweep and the rank-1 SVD of a factor --------
+    {
+      const tensor::Dims amn_dims{16, 16, 16};
+      const auto amn_t = random_sparse(amn_dims, 1u << 11, seed + 9);
+      tensor::CpModel init(amn_dims, 4);
+      Rng rng(seed + 10);
+      init.init_positive(rng, 1.0);
+      completion::GeneralizedOptions options;
+      options.max_sweeps = 1;
+      options.sweeps_per_eta = 1;
+      harness.run("amn_sweep/rank4", [&] {
+        tensor::CpModel work = init;
+        completion::generalized_complete<completion::LogQuadraticLoss>(amn_t, work, options);
+      });
+
+      linalg::Matrix factor(64, 16);
+      for (std::size_t i = 0; i < factor.rows(); ++i) {
+        for (std::size_t j = 0; j < factor.cols(); ++j) factor(i, j) = 0.1 + rng.uniform();
+      }
+      harness.run("rank1_svd/64x16", [&] { (void)linalg::rank1_svd(factor); });
     }
 
     // --- fused Gram+RHS over one fit-mm-shaped slice ---------------------

@@ -3,14 +3,14 @@
 // Closed-loop load test: google-benchmark's --benchmark_* threading runs T
 // client threads, each synchronously issuing PREDICT protocol lines against
 // one in-process serve::Server (the same handle_line() surface cpr_serve's
-// stdio/socket frontends drive). Cases cover the cache-miss path (unique
+// transports drive). Cases cover the cache-miss path (unique
 // query streams), the cache-hit path (revisited configurations, the
 // autotuner pattern), the uncached baseline, and a two-model interleave
 // that forces the micro-batcher to group per model.
 //
 // Besides the --benchmark_* flags, accepts --json=<path>: per-benchmark
 // wall seconds per request in the same BENCH_*.json trajectory format as
-// fig7/micro_kernels, plus the client-observed per-request latency
+// fig7/kernel_suite, plus the client-observed per-request latency
 // distribution (cases ".../client_p50|p99|p999") — the same percentile
 // schema bench/serve_latency emits for its open-loop TCP runs, so closed-
 // and open-loop latency land in one comparable trajectory.

@@ -26,7 +26,6 @@
 #include "core/cpr_model.hpp"
 #include "core/online_cpr.hpp"
 #include "core/tucker_perf_model.hpp"
-#include "core/tuning.hpp"
 #include "grid/discretization.hpp"
 
 namespace cpr::common {
@@ -346,10 +345,10 @@ void register_builtin_models(ModelRegistry& registry) {
 
 // Tuning search spaces, declared alongside the factories so src/tune can
 // autotune any family by name. Grid axes keep historically-swept values
-// (cpr reuses the exact CprTuningGrid the old `cpr_train --tune` searched,
-// so its tuned behavior stays reproducible); range axes are sampled by the
-// tuner's deterministic seeded sampler. Per-dimension cell counts shrink
-// with the dimensionality — the cell-count product explodes otherwise.
+// (cpr keeps the exact grid the original CPR sweep searched, so its tuned
+// behavior stays reproducible); range axes are sampled by the tuner's
+// deterministic seeded sampler. Per-dimension cell counts shrink with the
+// dimensionality — the cell-count product explodes otherwise.
 void register_builtin_search_spaces(ModelRegistry& registry) {
   const auto cells_axis = [](const ModelSpec& base) {
     const std::size_t d = base.params.size();
@@ -359,13 +358,19 @@ void register_builtin_search_spaces(ModelRegistry& registry) {
   };
 
   registry.register_search_space("cpr", [](const ModelSpec& base) {
-    const auto grid = core::CprTuningGrid::for_dimensions(base.params.size());
-    std::vector<double> cells(grid.cells.begin(), grid.cells.end());
-    std::vector<double> ranks(grid.ranks.begin(), grid.ranks.end());
+    const std::size_t d = base.params.size();
+    std::vector<double> cells = {4, 8, 16};
+    std::vector<double> ranks = {2, 4, 8, 16};
+    if (d >= 6) {
+      cells = {4, 6, 8, 10};
+      ranks = {4, 8, 16};
+    } else if (d >= 4) {
+      cells = {4, 8, 12};
+    }
     return std::vector<HyperAxis>{
         HyperAxis::grid_numeric("cells", cells),
         HyperAxis::grid_numeric("rank", ranks),
-        HyperAxis::grid_numeric("lambda", grid.regularizations),
+        HyperAxis::grid_numeric("lambda", {1e-5, 1e-4}),
     };
   });
 

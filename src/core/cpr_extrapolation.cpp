@@ -36,12 +36,13 @@ void CprExtrapolationModel::fit(const common::Dataset& train) {
       std::pow(geometric_mean, 1.0 / static_cast<double>(discretization_.order()));
   cp_.init_positive(rng, magnitude);
 
-  completion::AmnOptions amn_options = options_.amn;
+  completion::GeneralizedOptions amn_options = options_.amn;
   amn_options.regularization = options_.regularization;
   amn_options.max_sweeps = options_.max_sweeps;
   amn_options.tol = options_.tol;
   amn_options.seed = options_.seed;
-  report_ = completion::amn_complete(observed, cp_, amn_options);
+  report_ = completion::generalized_complete<completion::LogQuadraticLoss>(observed, cp_,
+                                                                         amn_options);
   CPR_LOG_DEBUG("CPR-E fit: sweeps " << report_.sweeps << ", objective "
                                      << report_.final_objective());
 

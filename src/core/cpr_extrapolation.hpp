@@ -4,8 +4,9 @@
 // Training:
 //  1. Bin observations into grid cells (Section 5.1) — cell means stay in
 //     the original (positive) scale.
-//  2. Complete a strictly positive CP model under the MLogQ2 loss using the
-//     interior-point AMN optimizer (Section 4.2.2).
+//  2. Complete a strictly positive CP model under the MLogQ2 loss with AMN,
+//     the interior-point LogQuadraticLoss instance of
+//     completion::generalized_complete (Section 4.2.2).
 //  3. For each numerical mode, compute the rank-1 SVD U_j ≈ û σ̂ v̂^T of its
 //     (positive) factor matrix — positive by Perron–Frobenius — and fit a
 //     1-D MARS spline m̂_j to {(h_j(midpoint_i), log û_i)}.
@@ -20,7 +21,7 @@
 
 #include "baselines/mars.hpp"
 #include "common/regressor.hpp"
-#include "completion/amn.hpp"
+#include "completion/generalized.hpp"
 #include "grid/discretization.hpp"
 #include "tensor/cp_model.hpp"
 
@@ -32,8 +33,8 @@ struct CprExtrapolationOptions {
   int max_sweeps = 100;
   double tol = 1e-6;
   std::uint64_t seed = 42;
-  completion::AmnOptions amn;        ///< barrier schedule (paper defaults)
-  baselines::MarsOptions spline;     ///< per-mode 1-D spline fit options
+  completion::GeneralizedOptions amn;  ///< AMN barrier schedule (paper defaults)
+  baselines::MarsOptions spline;       ///< per-mode 1-D spline fit options
 
   CprExtrapolationOptions() {
     spline.max_degree = 1;       // univariate spline

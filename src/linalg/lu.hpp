@@ -1,6 +1,6 @@
 #pragma once
 // LU factorization with partial pivoting for general square solves
-// (used by Newton steps on non-SPD Hessians in the AMN completer).
+// (used by Newton steps on non-SPD Hessians in completion/generalized).
 
 #include <optional>
 

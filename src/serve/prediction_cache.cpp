@@ -1,7 +1,10 @@
 #include "serve/prediction_cache.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstring>
+#include <limits>
 
 #include "util/check.hpp"
 
@@ -19,28 +22,23 @@ PredictionCache::PredictionCache(std::size_t capacity, std::size_t shards)
 
 std::string PredictionCache::make_key(std::string_view model, std::uint64_t generation,
                                       const grid::Config& values) {
-  std::string key;
-  key.reserve(model.size() + 8 + values.size() * 16);
-  key.append(model);
-  key.push_back('#');
-  key.append(std::to_string(generation));
-  char buffer[32];
+  // "<model>#<generation>;" then the raw 8 bytes of every value: two queries
+  // share an entry only when the model would see the same doubles.
+  char digits[24];
+  char* digits_end = std::to_chars(digits, digits + sizeof(digits), generation).ptr;
+  const auto n_digits = static_cast<std::size_t>(digits_end - digits);
+  std::string key(model.size() + n_digits + 2 + values.size() * sizeof(double), '\0');
+  char* out = std::copy(model.begin(), model.end(), key.data());
+  *out++ = '#';
+  out = std::copy(digits, digits_end, out);
+  *out++ = ';';
   for (double v : values) {
-    key.push_back(';');
-    // NaN compares unequal to everything, so any NaN payload/sign would
-    // render ("nan"/"-nan") into a key that can only ever miss — collapse
-    // them all into one token instead of leaking formatter variants.
-    if (std::isnan(v)) {
-      key.append("nan");
-      continue;
-    }
-    // -0.0 == 0.0 and predicts identically, but %.12g renders "-0" vs "0";
-    // normalize so the two never split into distinct entries.
+    // -0.0 == 0.0 and predicts identically, so both take the +0.0 bytes;
+    // every NaN payload and sign folds into one canonical NaN.
     if (v == 0.0) v = 0.0;
-    // 12 significant digits: textually-identical requests always collapse,
-    // while sub-1e-12 relative float noise cannot split cache entries.
-    std::snprintf(buffer, sizeof(buffer), "%.12g", v);
-    key.append(buffer);
+    if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
+    std::memcpy(out, &v, sizeof(v));
+    out += sizeof(v);
   }
   return key;
 }

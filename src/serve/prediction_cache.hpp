@@ -5,10 +5,11 @@
 // re-probe neighboring configurations constantly — so a small cache in
 // front of the batcher absorbs a large share of traffic. Keys combine the
 // model name, its load generation (so hot reloads age out stale entries via
-// plain LRU instead of an invalidation sweep), and the query configuration
-// quantized to 12 significant digits (collapsing float noise between
-// textually-equal requests). Sharding keeps lock contention flat under
-// concurrent clients; each shard is an independent mutex + LRU list.
+// plain LRU instead of an invalidation sweep), and the exact bits of the
+// query configuration (with -0.0 folded into +0.0 and every NaN into one),
+// so a cached reply is always bitwise the direct predict() of that query.
+// Sharding keeps lock contention flat under concurrent clients; each shard
+// is an independent mutex + LRU list.
 
 #include <cstdint>
 #include <list>
@@ -31,7 +32,7 @@ class PredictionCache {
   /// caching: get() always misses, put() is a no-op.
   explicit PredictionCache(std::size_t capacity, std::size_t shards = 8);
 
-  /// Cache key for one (model instance, query) pair.
+  /// Cache key for one (model instance, query) pair; binary, not text.
   static std::string make_key(std::string_view model, std::uint64_t generation,
                               const grid::Config& values);
 

@@ -7,6 +7,7 @@
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "serve/protocol.hpp"
@@ -354,8 +355,10 @@ struct TcpServer::Impl {
         CPR_LOG_WARN("cpr_serve: accept4(): " << std::strerror(errno));
         break;
       }
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      if (opts.unix_path.empty()) {
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      }
       if (opts.sndbuf > 0) {
         ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &opts.sndbuf, sizeof(opts.sndbuf));
       }
@@ -411,27 +414,47 @@ TcpServer::TcpServer(Server& server, TcpServerOptions options) {
   CPR_CHECK_MSG(options.max_inflight > 0, "max_inflight must be positive");
   CPR_CHECK_MSG(options.max_write_backlog > 0, "max_write_backlog must be positive");
   impl_ = std::make_unique<Impl>(server, std::move(options));
+  const TcpServerOptions& opts = impl_->opts;
+  const bool unix_socket = !opts.unix_path.empty();
 
-  impl_->listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  sockaddr_in tcp_addr{};
+  sockaddr_un unix_addr{};
+  if (unix_socket) {
+    CPR_CHECK_MSG(opts.unix_path.size() < sizeof(unix_addr.sun_path),
+                  "unix socket path too long: " << opts.unix_path);
+    unix_addr.sun_family = AF_UNIX;
+    opts.unix_path.copy(unix_addr.sun_path, opts.unix_path.size());
+  } else {
+    tcp_addr.sin_family = AF_INET;
+    tcp_addr.sin_addr.s_addr = htonl(INADDR_ANY);
+    tcp_addr.sin_port = htons(opts.port);
+  }
+  auto* addr = unix_socket ? reinterpret_cast<sockaddr*>(&unix_addr)
+                           : reinterpret_cast<sockaddr*>(&tcp_addr);
+  socklen_t len = unix_socket ? sizeof(unix_addr) : sizeof(tcp_addr);
+
+  impl_->listen_fd = ::socket(addr->sa_family, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   CPR_CHECK_MSG(impl_->listen_fd >= 0, "socket(): " << std::strerror(errno));
-  const int one = 1;
-  ::setsockopt(impl_->listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(impl_->opts.port);
-  if (::bind(impl_->listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(impl_->listen_fd, impl_->opts.listen_backlog) != 0) {
+  if (unix_socket) {
+    ::unlink(opts.unix_path.c_str());  // a stale socket from an earlier run
+  } else {
+    const int one = 1;
+    ::setsockopt(impl_->listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  }
+  if (::bind(impl_->listen_fd, addr, len) != 0 ||
+      ::listen(impl_->listen_fd, opts.listen_backlog) != 0) {
     const int saved = errno;
     ::close(impl_->listen_fd);
-    CPR_CHECK_MSG(false, "cannot listen on TCP port " << impl_->opts.port << ": "
-                                                      << std::strerror(saved));
+    CPR_CHECK_MSG(false, "cannot listen on "
+                             << (unix_socket ? "unix socket " + opts.unix_path
+                                             : "TCP port " + std::to_string(opts.port))
+                             << ": " << std::strerror(saved));
   }
-  socklen_t len = sizeof(addr);
-  CPR_CHECK_MSG(
-      ::getsockname(impl_->listen_fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0,
-      "getsockname(): " << std::strerror(errno));
-  port_ = ntohs(addr.sin_port);
+  if (!unix_socket) {
+    CPR_CHECK_MSG(::getsockname(impl_->listen_fd, addr, &len) == 0,
+                  "getsockname(): " << std::strerror(errno));
+    port_ = ntohs(tcp_addr.sin_port);
+  }
 
   impl_->loops.reserve(impl_->opts.io_threads);
   impl_->conns.resize(impl_->opts.io_threads);
@@ -499,6 +522,7 @@ void TcpServer::shutdown(bool drain, std::uint64_t drain_timeout_ms) {
   for (auto& loop : impl.loops) loop->stop();
   for (auto& thread : impl.loop_threads) thread.join();
   ::close(impl.listen_fd);
+  if (!impl.opts.unix_path.empty()) ::unlink(impl.opts.unix_path.c_str());
   {
     std::lock_guard<std::mutex> lock(impl.done_mu);
     impl.finished = true;

@@ -1,10 +1,11 @@
 #pragma once
-// Event-driven TCP front end for the serving subsystem.
+// Event-driven stream front end for the serving subsystem: one TCP port,
+// or one Unix stream socket when `unix_path` is set — the same state
+// machine, admission and drain on either address family.
 //
-// Thread-per-connection (the Unix-socket frontend) stalls past a few
-// hundred clients; this front end holds tens of thousands of connections on
-// a small pool of epoll event loops (serve/event_loop). Each accepted
-// connection runs a non-blocking state machine on exactly one loop thread:
+// It holds tens of thousands of connections on a small pool of epoll event
+// loops (serve/event_loop). Each accepted connection runs a non-blocking
+// state machine on exactly one loop thread:
 //
 //   read buffer -> frame parser (newline, or length-prefixed binary after a
 //   `FRAME BINARY` negotiation) -> admission check -> dispatch queue ->
@@ -32,6 +33,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -42,6 +44,9 @@ namespace cpr::serve {
 
 struct TcpServerOptions {
   std::uint16_t port = 0;       ///< 0 = ephemeral; see TcpServer::port()
+  /// Non-empty: listen on this AF_UNIX path instead of a TCP port. A stale
+  /// socket file at the path is replaced; shutdown removes the file.
+  std::string unix_path;
   std::size_t io_threads = 2;   ///< event-loop threads (connections sharded)
   std::size_t dispatch_threads = 2;  ///< workers calling Server::handle_line
   std::size_t max_inflight = 1024;   ///< global dispatched-request admission cap
@@ -53,8 +58,9 @@ struct TcpServerOptions {
 
 class TcpServer {
  public:
-  /// Binds 0.0.0.0:`options.port` and starts the IO loops and dispatch
-  /// workers; throws CheckError when the socket cannot be bound.
+  /// Binds 0.0.0.0:`options.port` (or `options.unix_path`) and starts the
+  /// IO loops and dispatch workers; throws CheckError when the socket
+  /// cannot be bound.
   TcpServer(Server& server, TcpServerOptions options);
 
   /// Drains and joins (shutdown(false) semantics if still running).
@@ -63,7 +69,7 @@ class TcpServer {
   TcpServer(const TcpServer&) = delete;
   TcpServer& operator=(const TcpServer&) = delete;
 
-  /// The bound TCP port (resolves an ephemeral request).
+  /// The bound TCP port (resolves an ephemeral request); 0 on a Unix socket.
   std::uint16_t port() const { return port_; }
 
   /// Stops the front end; idempotent and thread/signal-thread-safe.

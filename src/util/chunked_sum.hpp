@@ -1,9 +1,10 @@
 #pragma once
 // Deterministic parallel sum — the one reduction behind every completion
-// objective (tensor::sq_residual_observed, AMN's MLogQ² objective, the
-// Tucker objective). An `omp reduction(+)` combines its per-thread partials
-// in an unspecified order, so its last bits (and any `tol`-driven sweep
-// count) could change with the thread count; this sum cannot.
+// objective (tensor::sq_residual_observed, completion::generalized_objective
+// with AMN's MLogQ² among its losses, the Tucker objective). An
+// `omp reduction(+)` combines its per-thread partials in an unspecified
+// order, so its last bits (and any `tol`-driven sweep count) could change
+// with the thread count; this sum cannot.
 
 #include <algorithm>
 #include <cstddef>

@@ -1,7 +1,7 @@
 // Tests for the extension modules built on top of the paper's scope:
 // Tucker decomposition + completion, the Tucker-backed performance model,
-// online/streaming CPR, the hyper-parameter tuner, the uncompressed
-// regular-grid baseline, non-iid sampling strategies, and dataset CSV I/O.
+// online/streaming CPR, the uncompressed regular-grid baseline, non-iid
+// sampling strategies, and dataset CSV I/O.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "core/cpr_model.hpp"
 #include "core/online_cpr.hpp"
 #include "core/tucker_perf_model.hpp"
-#include "core/tuning.hpp"
 #include "tensor/tucker_model.hpp"
 #include "test_data.hpp"
 #include "util/rng.hpp"
@@ -276,64 +275,6 @@ TEST(OnlineCpr, WarmRefreshIsCheaperThanColdFit) {
   model.refresh();
   const double after = common::evaluate_mlogq(model, test);
   EXPECT_LT(after, before * 1.2 + 0.02);  // no degradation from warm updates
-}
-
-// ---------- Tuner ----------
-
-TEST(Tuner, ValidationSplitSelectsReasonableModel) {
-  const auto mm = apps::make_matmul();
-  const Dataset train = mm->generate_dataset(4096, 21);
-  const Dataset test = mm->generate_dataset(256, 22);
-  core::CprTuner tuner;
-  tuner.specs = mm->parameters();
-  tuner.mode = core::TuneMode::ValidationSplit;
-  core::CprTuningGrid tuning_grid;
-  tuning_grid.cells = {4, 8, 16};
-  tuning_grid.ranks = {2, 4, 8};
-  tuning_grid.regularizations = {1e-4};
-  const auto [model, result] = tuner.tune(train, nullptr, tuning_grid);
-  EXPECT_EQ(result.sweep.size(), tuning_grid.configurations());
-  EXPECT_LT(common::evaluate_mlogq(model, test), 0.1);
-}
-
-TEST(Tuner, TestSetMinimumMatchesExhaustiveMinimum) {
-  const auto mm = apps::make_matmul();
-  const Dataset train = mm->generate_dataset(1024, 23);
-  const Dataset test = mm->generate_dataset(256, 24);
-  core::CprTuner tuner;
-  tuner.specs = mm->parameters();
-  tuner.mode = core::TuneMode::TestSetMinimum;
-  core::CprTuningGrid tuning_grid;
-  tuning_grid.cells = {4, 8};
-  tuning_grid.ranks = {2, 4};
-  tuning_grid.regularizations = {1e-4};
-  const auto [model, result] = tuner.tune(train, &test, tuning_grid);
-  double manual_best = 1e300;
-  for (const auto& candidate : result.sweep) manual_best = std::min(manual_best, candidate.error);
-  EXPECT_DOUBLE_EQ(result.best_error, manual_best);
-}
-
-TEST(Tuner, RequiresTestSetInTestMode) {
-  core::CprTuner tuner;
-  tuner.specs = apps::make_matmul()->parameters();
-  tuner.mode = core::TuneMode::TestSetMinimum;
-  const Dataset train = apps::make_matmul()->generate_dataset(64, 25);
-  EXPECT_THROW(tuner.tune(train, nullptr, {}), CheckError);
-}
-
-TEST(Tuner, ProgressCallbackInvoked) {
-  const auto mm = apps::make_matmul();
-  const Dataset train = mm->generate_dataset(512, 26);
-  core::CprTuner tuner;
-  tuner.specs = mm->parameters();
-  std::size_t calls = 0;
-  tuner.progress = [&](const core::CprTuningResult::Candidate&) { ++calls; };
-  core::CprTuningGrid tuning_grid;
-  tuning_grid.cells = {4};
-  tuning_grid.ranks = {2, 4};
-  tuning_grid.regularizations = {1e-4};
-  tuner.tune(train, nullptr, tuning_grid);
-  EXPECT_EQ(calls, 2u);
 }
 
 // ---------- GridInterpolator ----------

@@ -9,7 +9,6 @@
 
 #include "apps/benchmark_app.hpp"
 #include "common/evaluation.hpp"
-#include "completion/amn.hpp"
 #include "completion/generalized.hpp"
 #include "core/cpr_model.hpp"
 #include "core/model_file.hpp"
@@ -47,31 +46,6 @@ PositiveProblem make_positive_problem(std::uint64_t seed, double corrupt_fractio
   return {std::move(truth), std::move(observed)};
 }
 
-TEST(Generalized, LogQuadraticMatchesDedicatedAmn) {
-  const auto problem = make_positive_problem(1);
-  GeneralizedOptions options;
-  options.regularization = 1e-8;
-  options.max_sweeps = 40;
-
-  CpModel generic(problem.observed.dims(), 2);
-  Rng rng(2);
-  generic.init_positive(rng, 1.0);
-  CpModel dedicated = generic;
-
-  const auto generic_report =
-      completion::generalized_complete<completion::LogQuadraticLoss>(problem.observed,
-                                                                     generic, options);
-  completion::AmnOptions amn_options;
-  amn_options.regularization = options.regularization;
-  amn_options.max_sweeps = options.max_sweeps;
-  const auto amn_report = completion::amn_complete(problem.observed, dedicated, amn_options);
-
-  // Same loss, same schedule: final objectives agree closely.
-  EXPECT_NEAR(std::log10(generic_report.final_objective() + 1e-300),
-              std::log10(amn_report.final_objective() + 1e-300), 1.0);
-  EXPECT_LT(generic_report.final_objective(), 1e-3);
-}
-
 TEST(Generalized, LeastSquaresLossRunsUnconstrained) {
   // Least-squares via the generic path needs no positivity/barrier.
   Rng rng(3);
@@ -95,13 +69,14 @@ TEST(Generalized, LeastSquaresLossRunsUnconstrained) {
 }
 
 TEST(Generalized, HuberLossDerivativesConsistent) {
+  using Huber = completion::HuberLogLoss;
   // Finite-difference check in both the quadratic and linear zones.
   for (const double m : {1.2, 5.0}) {  // r = log(m/1): 0.18 (quad), 1.6 (linear)
     const double t = 1.0, h = 1e-6;
-    const double numeric_d1 = (completion::HuberLogLoss::value(t, m + h) -
-                               completion::HuberLogLoss::value(t, m - h)) /
-                              (2 * h);
-    EXPECT_NEAR(completion::HuberLogLoss::d1(t, m), numeric_d1, 1e-4);
+    const double numeric_d1 = (Huber::value(t, m + h) - Huber::value(t, m - h)) / (2 * h);
+    // dphi/dm in residual form: rho'(link(m) - target(t)) * link'(m).
+    const double d1 = Huber::rho1(Huber::link(m) - Huber::target(t)) * Huber::dlink(m);
+    EXPECT_NEAR(d1, numeric_d1, 1e-4);
   }
 }
 

@@ -264,6 +264,41 @@ TEST(ModelArchive, ReadsLegacyCprmFiles) {
   std::filesystem::remove(path);
 }
 
+// The cpr search space is the original CPR tuning grid, scaled with the
+// dimensionality; pin every axis at d = 3, 4 and 6 so a tuned cpr model
+// stays reproducible.
+TEST(TuneConformance, CprSearchSpaceKeepsTheTunedGrid) {
+  using Values = std::vector<std::string>;
+  const auto axes_at = [](std::size_t d) {
+    ModelSpec base;
+    for (std::size_t j = 0; j < d; ++j) {
+      base.params.push_back(
+          ParameterSpec::numerical_log("p" + std::to_string(j), 32.0, 4096.0));
+    }
+    return ModelRegistry::instance().search_space("cpr", base);
+  };
+  const struct {
+    std::size_t d;
+    Values cells, ranks;
+  } expected[] = {
+      {3, {"4", "8", "16"}, {"2", "4", "8", "16"}},
+      {4, {"4", "8", "12"}, {"2", "4", "8", "16"}},
+      {6, {"4", "6", "8", "10"}, {"4", "8", "16"}},
+  };
+  for (const auto& row : expected) {
+    SCOPED_TRACE("d = " + std::to_string(row.d));
+    const auto axes = axes_at(row.d);
+    ASSERT_EQ(axes.size(), 3u);
+    EXPECT_EQ(axes[0].name, "cells");
+    EXPECT_EQ(axes[0].values, row.cells);
+    EXPECT_EQ(axes[1].name, "rank");
+    EXPECT_EQ(axes[1].values, row.ranks);
+    EXPECT_EQ(axes[2].name, "lambda");
+    EXPECT_EQ(axes[2].values,
+              (Values{common::format_hyper_value(1e-5), common::format_hyper_value(1e-4)}));
+  }
+}
+
 // Cross-family conformance: for EVERY registry name, a short tune (2 rungs,
 // parallel evaluation) must produce a winner that saves through the
 // versioned archive and reloads to bitwise-equal predict_batch output — no

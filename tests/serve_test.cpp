@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +23,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "common/model_registry.hpp"
@@ -359,16 +361,14 @@ TEST(PredictionCache, ZeroCapacityDisables) {
   EXPECT_EQ(cache.counters().hits + cache.counters().misses, 0u);
 }
 
-TEST(PredictionCache, KeyQuantizationCollapsesFloatNoiseOnly) {
+TEST(PredictionCache, KeyIsExactInEveryValue) {
   const Config base{1024.0, 3.141592653589793};
-  Config noisy = base;
-  noisy[1] *= 1.0 + 1e-15;  // sub-quantum relative noise
-  Config distinct = base;
-  distinct[1] *= 1.5;
+  Config one_ulp = base;
+  one_ulp[1] = std::nextafter(one_ulp[1], 4.0);  // a distinct query the model sees
   EXPECT_EQ(serve::PredictionCache::make_key("m", 1, base),
-            serve::PredictionCache::make_key("m", 1, noisy));
+            serve::PredictionCache::make_key("m", 1, Config{1024.0, 3.141592653589793}));
   EXPECT_NE(serve::PredictionCache::make_key("m", 1, base),
-            serve::PredictionCache::make_key("m", 1, distinct));
+            serve::PredictionCache::make_key("m", 1, one_ulp));
   // Model name and generation are part of the key: reloads age out entries.
   EXPECT_NE(serve::PredictionCache::make_key("m", 1, base),
             serve::PredictionCache::make_key("m", 2, base));
@@ -377,12 +377,11 @@ TEST(PredictionCache, KeyQuantizationCollapsesFloatNoiseOnly) {
 }
 
 TEST(PredictionCache, KeyNormalizesSignedZeroAndNan) {
-  // -0.0 == 0.0 yet prints differently: the key must collapse them, or two
+  // -0.0 == 0.0 yet has other bytes: the key must collapse them, or two
   // inputs the model cannot distinguish would occupy distinct entries.
   EXPECT_EQ(serve::PredictionCache::make_key("m", 1, Config{0.0, 5.0}),
             serve::PredictionCache::make_key("m", 1, Config{-0.0, 5.0}));
-  // Every NaN payload and sign collapses to one fixed token instead of
-  // leaking whatever printf renders ("nan" vs "-nan(0x...)").
+  // Every NaN payload and sign collapses to one canonical NaN.
   const double quiet = std::numeric_limits<double>::quiet_NaN();
   const double negative_payload = std::copysign(std::nan("0x7ff"), -1.0);
   EXPECT_EQ(serve::PredictionCache::make_key("m", 1, Config{quiet}),
@@ -744,6 +743,38 @@ TEST(Server, SessionMatchesDirectEvaluationBitwise) {
   EXPECT_EQ(quit.text, "OK bye");
 }
 
+// Two configurations equal to 12 significant digits are still two queries:
+// the second PREDICT must not be answered from the first one's cache entry.
+TEST(Server, ConfigsEqualToTwelveDigitsGetTheirOwnPrediction) {
+  TempModelDir dir("cache_key");
+  const auto model = fit_family("cpr");
+  dir.save("pl", *model);
+  serve::ServerOptions options;
+  options.model_dir = dir.path();
+  options.cache_capacity = 64;
+  serve::Server server(options);
+
+  const auto twelve_digits = [](double v) {
+    char text[32];
+    std::snprintf(text, sizeof(text), "%.12g", v);
+    return std::string(text);
+  };
+  Rng rng(61);
+  Config a, b;
+  bool found = false;
+  for (int attempt = 0; attempt < 200 && !found; ++attempt) {
+    a = random_config(rng);
+    b = {a[0] * (1.0 + 1e-13), a[1]};
+    found = twelve_digits(a[0]) == twelve_digits(b[0]) && model->predict(a) != model->predict(b);
+  }
+  ASSERT_TRUE(found) << "no configuration pair whose predictions differ";
+  for (const Config& config : {a, b}) {
+    EXPECT_EQ(server.handle_line(predict_line("pl", config)).text,
+              serve::format_prediction(model->predict(config)));
+  }
+  EXPECT_EQ(server.cache_counters().misses, 2u);
+}
+
 TEST(Server, LazyLoadOnPredictAndConcurrentClients) {
   TempModelDir dir("concurrent");
   const auto model = fit_family("cpr");
@@ -1003,8 +1034,8 @@ TEST(Server, GenerationSwapsStayBitwiseUnderConcurrentPredicts) {
 
 // -------------------------------------------------------- TCP front end
 
-/// Minimal blocking loopback client for the TCP front end: raw sends plus
-/// newline- and binary-framed reads over one internal buffer.
+/// Minimal blocking loopback client for the socket front end: raw sends
+/// plus newline- and binary-framed reads over one internal buffer.
 class TcpClient {
  public:
   explicit TcpClient(std::uint16_t port) {
@@ -1017,6 +1048,16 @@ class TcpClient {
     CPR_CHECK(::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0);
     int nodelay = 1;
     ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
+  }
+  /// Connects to the front end's AF_UNIX listener at `unix_path`.
+  explicit TcpClient(const std::string& unix_path) {
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    CPR_CHECK(fd_ >= 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    CPR_CHECK(unix_path.size() < sizeof(addr.sun_path));
+    unix_path.copy(addr.sun_path, unix_path.size());
+    CPR_CHECK(::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0);
   }
   ~TcpClient() {
     if (fd_ >= 0) ::close(fd_);
@@ -1100,11 +1141,16 @@ class TcpClient {
   std::string buffer_;
 };
 
-/// A server over a fitted model directory plus its TCP front end.
+/// The front end's two address families.
+enum class Family { Tcp, Unix };
+
+/// A server over a fitted model directory plus its socket front end,
+/// listening on a TCP port or (Family::Unix) on a Unix socket in the
+/// model directory.
 struct TcpFixture {
   explicit TcpFixture(serve::TcpServerOptions tcp_options = {},
                       std::uint64_t batcher_max_wait_us = 0,
-                      std::size_t cache_capacity = 64)
+                      std::size_t cache_capacity = 64, Family family = Family::Tcp)
       : dir("tcp"), model(fit_family("cpr")) {
     dir.save("pl", *model);
     serve::ServerOptions options;
@@ -1113,43 +1159,55 @@ struct TcpFixture {
     options.batcher.max_wait_us = batcher_max_wait_us;
     options.cache_capacity = cache_capacity;
     server = std::make_unique<serve::Server>(options);
+    if (family == Family::Unix) tcp_options.unix_path = dir.path() + "/serve.sock";
     tcp = std::make_unique<serve::TcpServer>(*server, tcp_options);
+    unix_path = tcp_options.unix_path;
+  }
+
+  /// A client of whichever address the front end listens on.
+  std::unique_ptr<TcpClient> connect() const {
+    return unix_path.empty() ? std::make_unique<TcpClient>(tcp->port())
+                             : std::make_unique<TcpClient>(unix_path);
   }
 
   TempModelDir dir;
   common::RegressorPtr model;
   std::unique_ptr<serve::Server> server;
   std::unique_ptr<serve::TcpServer> tcp;
+  std::string unix_path;
 };
 
 TEST(TcpServer, LoopbackSessionMatchesHandleLineBitwise) {
-  TcpFixture fixture;
-  // The reference server runs the same archives through handle_line —
-  // exactly what the stdio and Unix-socket frontends write to a client.
-  serve::ServerOptions reference_options;
-  reference_options.model_dir = fixture.dir.path();
-  reference_options.batcher.workers = 2;
-  serve::Server reference(reference_options);
+  for (const Family family : {Family::Tcp, Family::Unix}) {
+    SCOPED_TRACE(family == Family::Tcp ? "tcp" : "unix");
+    TcpFixture fixture({}, 0, 64, family);
+    // The reference server runs the same archives through handle_line —
+    // exactly what the stdio frontend writes to a client.
+    serve::ServerOptions reference_options;
+    reference_options.model_dir = fixture.dir.path();
+    reference_options.batcher.workers = 2;
+    serve::Server reference(reference_options);
 
-  TcpClient client(fixture.tcp->port());
-  std::vector<std::string> lines = {"LOAD pl"};
-  Rng rng(21);
-  for (std::size_t i = 0; i < 24; ++i) {
-    const Config config = random_config(rng);
-    std::ostringstream line;
-    line.precision(17);
-    line << "PREDICT pl " << config[0] << "," << config[1];
-    lines.push_back(line.str());
-  }
-  lines.push_back("PREDICT nosuch 1,2");   // ERR replies must match too
-  lines.push_back("PREDICT pl 1,2,3");
-  lines.push_back("garbage");
+    const auto client = fixture.connect();
+    std::vector<std::string> lines = {"LOAD pl"};
+    Rng rng(21);
+    for (std::size_t i = 0; i < 24; ++i) {
+      const Config config = random_config(rng);
+      std::ostringstream line;
+      line.precision(17);
+      line << "PREDICT pl " << config[0] << "," << config[1];
+      lines.push_back(line.str());
+    }
+    lines.push_back("PREDICT nosuch 1,2");  // ERR replies must match too
+    lines.push_back("PREDICT pl 1,2,3");
+    lines.push_back("garbage");
 
-  for (const auto& line : lines) {
-    client.send_line(line);
-    std::string reply;
-    ASSERT_TRUE(client.read_line(reply)) << line;
-    EXPECT_EQ(reply, reference.handle_line(line).text) << line;
+    for (const auto& line : lines) {
+      client->send_line(line);
+      std::string reply;
+      ASSERT_TRUE(client->read_line(reply)) << line;
+      EXPECT_EQ(reply, reference.handle_line(line).text) << line;
+    }
   }
 }
 
@@ -1331,17 +1389,24 @@ TEST(TcpServer, QuitClosesOnlyItsOwnConnection) {
 }
 
 TEST(TcpServer, DrainShutdownFlushesInflightReplies) {
-  // 100ms batch flush: the reply is guaranteed still in flight when the
-  // drain starts, so it must be completed and flushed by the drain.
-  TcpFixture fixture({}, /*batcher_max_wait_us=*/100'000, /*cache_capacity=*/0);
-  TcpClient client(fixture.tcp->port());
-  client.send_line("PREDICT pl 100,100");
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // parsed+dispatched
-  fixture.tcp->shutdown(/*drain=*/true);
-  std::string reply;
-  ASSERT_TRUE(client.read_line(reply));
-  EXPECT_EQ(reply, serve::format_prediction(fixture.model->predict({100.0, 100.0})));
-  EXPECT_TRUE(client.at_eof());
+  for (const Family family : {Family::Tcp, Family::Unix}) {
+    SCOPED_TRACE(family == Family::Tcp ? "tcp" : "unix");
+    // 100ms batch flush: the reply is guaranteed still in flight when the
+    // drain starts, so it must be completed and flushed by the drain.
+    TcpFixture fixture({}, /*batcher_max_wait_us=*/100'000, /*cache_capacity=*/0, family);
+    const auto client = fixture.connect();
+    client->send_line("PREDICT pl 100,100");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // parsed+dispatched
+    fixture.tcp->shutdown(/*drain=*/true);
+    std::string reply;
+    ASSERT_TRUE(client->read_line(reply));
+    EXPECT_EQ(reply, serve::format_prediction(fixture.model->predict({100.0, 100.0})));
+    EXPECT_TRUE(client->at_eof());
+    // The drained front end removes its socket file.
+    if (family == Family::Unix) {
+      EXPECT_FALSE(std::filesystem::exists(fixture.unix_path));
+    }
+  }
 }
 
 // ---------------------------------------------------------- observability

@@ -313,7 +313,7 @@ TEST(PerfJson, RoundTripsRecordsThroughAFile) {
   // The satellite guarantee: what --json writes, cpr_bench parses back with
   // every schema field (suite/case/seconds/model_bytes) intact.
   const std::vector<util::PerfRecord> records = {
-      {"micro_kernels", "BM_SparseMttkrpSerial/16", 3.9e-4, 0},
+      {"serve_throughput", "BM_ServePredict/threads:4", 3.9e-4, 0},
       {"kernel_suite", "mttkrp/rank64", 2.81e-4, 0},
       {"fig7_error_vs_modelsize", "MM/CPR/cells=16 rank=8", 1.25, 43112},
       {"kernel_suite", "predict_batch_int8/1024", 2.1e-4, 9001, "int8"},

@@ -37,13 +37,12 @@ using namespace cpr;
 
 namespace {
 
-/// Every bench binary cpr_bench knows how to drive, in run order. The
-/// google-benchmark pair may be absent (optional dependency); fig/table
-/// suites are the paper-reproduction set.
+/// Every bench binary cpr_bench knows how to drive, in run order.
+/// serve_throughput may be absent (google-benchmark is an optional
+/// dependency); fig/table suites are the paper-reproduction set.
 const std::vector<std::string> kKnownSuites = {
-    "kernel_suite",    "micro_kernels",
-    "serve_throughput", "serve_latency",
-    "serve_drift",
+    "kernel_suite",    "serve_throughput",
+    "serve_latency",   "serve_drift",
     "ablation_cpr",    "ext_online_updates",
     "ext_sampling_strategies", "ext_tucker_vs_cp",
     "fig1_svd_logtransform",   "fig3_discretization",

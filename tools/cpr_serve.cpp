@@ -1,15 +1,15 @@
 // cpr_serve — long-lived multi-model inference server over a directory of
 // registry archives (src/serve). Speaks the newline-delimited protocol
-// (serve/protocol.hpp) on stdin/stdout, on a Unix stream socket with
-// --socket=<path> (one thread per connection; QUIT from any connection
-// shuts the server down), or on a TCP port with --tcp=<port> (epoll event
-// loop, tens of thousands of connections, optional binary framing via
-// FRAME BINARY, bounded admission shedding with BUSY; QUIT closes only its
-// own connection). SIGINT/SIGTERM drain gracefully on every transport:
-// stop accepting, finish and flush in-flight requests, exit 0. Cache-miss
-// PREDICTs go through a work-conserving micro-batcher: an idle worker runs
-// every queued request for a model as one batch at once, with no batch
-// timer unless --max-wait-us opts into a linger.
+// (serve/protocol.hpp) on stdin/stdout, or through one stream front end
+// (serve::TcpServer) on a TCP port with --tcp=<port> or on a Unix stream
+// socket with --socket=<path>: epoll event loops, tens of thousands of
+// connections, optional binary framing via FRAME BINARY, bounded admission
+// shedding with BUSY; QUIT closes only its own connection. SIGINT/SIGTERM
+// drain gracefully on every transport: stop accepting, finish and flush
+// in-flight requests, exit 0. Cache-miss PREDICTs go through a
+// work-conserving micro-batcher: an idle worker runs every queued request
+// for a model as one batch at once, with no batch timer unless
+// --max-wait-us opts into a linger.
 //
 // Usage:
 //   cpr_serve --models=<dir> [--socket=/tmp/cpr.sock | --tcp=<port>]
@@ -25,19 +25,14 @@
 //   STATS
 //   QUIT
 
-#include <atomic>
+#include <cerrno>
 #include <csignal>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
-#include <mutex>
+#include <string>
 #include <thread>
-#include <vector>
 
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "common/model_registry.hpp"
@@ -57,22 +52,23 @@ void usage(std::ostream& out) {
          "  PREDICT <model> <v1,v2,...> -> OK <seconds>\n"
          "  OBSERVE <model> <v1,v2,...> <seconds> | REFIT <model>\n"
          "  LOAD <model> | UNLOAD <model> | STATS | METRICS | QUIT\n"
-         "on stdin/stdout, a Unix stream socket (--socket), or a TCP port\n"
-         "(--tcp; epoll event loop, supports FRAME BINARY length-prefixed\n"
-         "framing and sheds with BUSY under overload — see\n"
-         "docs/SERVE_PROTOCOL.md for the normative spec). SIGINT/SIGTERM\n"
+         "on stdin/stdout, a TCP port (--tcp) or a Unix stream socket\n"
+         "(--socket). Both sockets share one epoll front end: it supports\n"
+         "FRAME BINARY length-prefixed framing, sheds with BUSY under\n"
+         "overload, and QUIT closes only its own connection — see\n"
+         "docs/SERVE_PROTOCOL.md for the normative spec. SIGINT/SIGTERM\n"
          "drain gracefully: stop accepting, flush in-flight work, exit 0.\n\n"
          "  --models=<dir>      directory of model archives (required)\n"
          "  --socket=<path>     listen on a Unix stream socket instead of stdio\n"
          "                      (default: stdio)\n"
          "  --tcp=<port>        listen on a TCP port (0 picks an ephemeral\n"
          "                      port, printed on stderr); excludes --socket\n"
-         "  --io-threads=<n>    TCP event-loop threads (default: 2)\n"
-         "  --max-inflight=<n>  TCP admission cap: requests dispatched but\n"
+         "  --io-threads=<n>    socket event-loop threads (default: 2)\n"
+         "  --max-inflight=<n>  socket admission cap: requests dispatched but\n"
          "                      unanswered before new ones get BUSY\n"
          "                      (default: 1024)\n"
-         "  --max-backlog=<n>   TCP per-connection write-backlog bytes before\n"
-         "                      requests get BUSY (default: 1048576)\n"
+         "  --max-backlog=<n>   socket per-connection write-backlog bytes\n"
+         "                      before requests get BUSY (default: 1048576)\n"
          "  --threads=<n>       cap the OpenMP team predict_batch uses for\n"
          "                      batches of 128+ rows; smaller batches run on\n"
          "                      the worker thread (default: the\n"
@@ -145,7 +141,7 @@ void install_signal_handlers() {
   struct sigaction action{};
   action.sa_handler = on_shutdown_signal;
   sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;  // no SA_RESTART: blocking accept/poll must wake
+  action.sa_flags = 0;  // no SA_RESTART: blocking poll/read must wake
   ::sigaction(SIGINT, &action, nullptr);
   ::sigaction(SIGTERM, &action, nullptr);
   ::signal(SIGPIPE, SIG_IGN);  // a vanished client must not kill the server
@@ -155,164 +151,6 @@ bool shutdown_signalled() {
   if (g_signal_pipe[0] < 0) return false;
   pollfd probe{g_signal_pipe[0], POLLIN, 0};
   return ::poll(&probe, 1, 0) > 0;
-}
-
-/// Writes the whole buffer, resuming across short writes and EINTR.
-bool write_all(int fd, const std::string& text) {
-  std::size_t sent = 0;
-  while (sent < text.size()) {
-    const ssize_t n = ::write(fd, text.data() + sent, text.size() - sent);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Serves one established connection until QUIT/EOF. Returns true when the
-/// client asked the whole server to quit. Handling is synchronous per line,
-/// so when a drain closes the read side every accepted request has already
-/// been answered and flushed.
-bool serve_stream(serve::Server& server, int fd) {
-  server.stats().record_connection_open();
-  std::string pending;
-  char buffer[4096];
-  bool quit = false;
-  for (;;) {
-    const ssize_t got = ::read(fd, buffer, sizeof(buffer));
-    if (got <= 0) break;  // EOF, drain shutdown, or error: drop the connection
-    pending.append(buffer, static_cast<std::size_t>(got));
-    std::size_t newline;
-    while ((newline = pending.find('\n')) != std::string::npos) {
-      std::string line = pending.substr(0, newline);
-      pending.erase(0, newline + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      const auto reply = server.handle_line(line);
-      if (!write_all(fd, reply.text + "\n")) {
-        server.stats().record_connection_close();
-        return false;
-      }
-      if (reply.quit) {
-        quit = true;
-        break;
-      }
-    }
-    if (quit) break;
-  }
-  server.stats().record_connection_close();
-  return quit;
-}
-
-int run_socket_server(serve::Server& server, const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    log_line(LogLevel::Error, "socket path too long", {{"path", path}});
-    return 1;
-  }
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-
-  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd < 0) {
-    log_line(LogLevel::Error, "socket() failed", {{"error", std::strerror(errno)}});
-    return 1;
-  }
-  ::unlink(path.c_str());  // stale socket from a previous run
-  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(listen_fd, 64) < 0) {
-    log_line(LogLevel::Error, "cannot listen on socket",
-             {{"path", path}, {"error", std::strerror(errno)}});
-    ::close(listen_fd);
-    return 1;
-  }
-  log_line(LogLevel::Info, "listening on unix socket (QUIT shuts down)",
-           {{"path", path}});
-
-  // Per-connection bookkeeping. fds are closed only after the owning thread
-  // is joined, so a QUIT-triggered shutdown() can never hit a recycled fd.
-  struct Connection {
-    int fd;
-    std::atomic<bool> done{false};
-    std::thread thread;
-  };
-  std::mutex connections_mu;
-  std::vector<std::unique_ptr<Connection>> connections;
-  std::atomic<bool> quit{false};
-  std::atomic<bool> draining{false};
-
-  // Joins and closes every finished connection (all of them when `all`).
-  const auto reap = [&](bool all) {
-    std::vector<std::unique_ptr<Connection>> finished;
-    {
-      std::lock_guard<std::mutex> lock(connections_mu);
-      for (auto it = connections.begin(); it != connections.end();) {
-        if (all || (*it)->done.load()) {
-          finished.push_back(std::move(*it));
-          it = connections.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    for (auto& connection : finished) {
-      connection->thread.join();
-      ::close(connection->fd);
-    }
-  };
-
-  for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (quit.load() || draining.load()) break;
-      if (errno == EINTR) {
-        if (!shutdown_signalled()) continue;
-        // Graceful drain: stop accepting; close only the READ side of every
-        // live connection so its in-flight reply still flushes, then fall
-        // through to the reap below.
-        draining.store(true);
-        std::lock_guard<std::mutex> lock(connections_mu);
-        for (const auto& other : connections) ::shutdown(other->fd, SHUT_RD);
-        break;
-      }
-      log_line(LogLevel::Error, "accept() failed", {{"error", std::strerror(errno)}});
-      break;
-    }
-    reap(/*all=*/false);  // bound resources on long-lived servers
-    auto connection = std::make_unique<Connection>();
-    Connection* raw = connection.get();
-    raw->fd = fd;
-    raw->thread = std::thread([&, raw] {
-      if (serve_stream(server, raw->fd)) {
-        quit.store(true);
-        // Unblock every live connection read and the accept loop so the
-        // whole process can exit; fds stay open until their join.
-        std::lock_guard<std::mutex> lock(connections_mu);
-        for (const auto& other : connections) ::shutdown(other->fd, SHUT_RDWR);
-        ::shutdown(listen_fd, SHUT_RDWR);
-      }
-      raw->done.store(true);
-    });
-    std::lock_guard<std::mutex> lock(connections_mu);
-    connections.push_back(std::move(connection));
-    // A connection can race the QUIT sweep in either order: the sweep runs
-    // after quit is set, so whichever of (push, sweep) came second closes it.
-    if (quit.load()) ::shutdown(raw->fd, SHUT_RDWR);
-    if (draining.load()) ::shutdown(raw->fd, SHUT_RD);
-  }
-  if (!draining.load()) {
-    // The loop can also end on an accept() error (e.g. EMFILE); unblock
-    // every live connection read so the final reap's joins cannot hang.
-    std::lock_guard<std::mutex> lock(connections_mu);
-    for (const auto& connection : connections) ::shutdown(connection->fd, SHUT_RDWR);
-  }
-  reap(/*all=*/true);
-  ::close(listen_fd);
-  ::unlink(path.c_str());
-  if (draining.load()) CPR_LOG_INFO("drained, exiting");
-  return 0;
 }
 
 /// stdio transport with the same graceful-drain contract: poll stdin and
@@ -348,16 +186,24 @@ int run_stdio_server(serve::Server& server) {
   return 0;
 }
 
-int run_tcp_server(serve::Server& server, const CliArgs& args) {
+/// The TCP (--tcp) and Unix-socket (--socket) transports: one
+/// serve::TcpServer with the same admission shedding and drain on either.
+int run_stream_server(serve::Server& server, const CliArgs& args) {
   serve::TcpServerOptions options;
   options.port = static_cast<std::uint16_t>(args.get_int("tcp", 0));
+  options.unix_path = args.get_string("socket", "");
   options.io_threads = static_cast<std::size_t>(args.get_int("io-threads", 2));
   options.max_inflight = static_cast<std::size_t>(args.get_int("max-inflight", 1024));
   options.max_write_backlog =
       static_cast<std::size_t>(args.get_int("max-backlog", 1 << 20));
   serve::TcpServer tcp(server, options);
-  log_line(LogLevel::Info, "listening on TCP (SIGINT/SIGTERM drains)",
-           {{"port", std::to_string(tcp.port())}});
+  if (options.unix_path.empty()) {
+    log_line(LogLevel::Info, "listening on TCP (SIGINT/SIGTERM drains)",
+             {{"port", std::to_string(tcp.port())}});
+  } else {
+    log_line(LogLevel::Info, "listening on unix socket (SIGINT/SIGTERM drains)",
+             {{"path", options.unix_path}});
+  }
 
   // Drain on SIGINT/SIGTERM: the watcher blocks on the signal pipe, so the
   // main thread can simply wait for the front end to finish.
@@ -435,14 +281,8 @@ int main(int argc, char** argv) {
       CPR_LOG_ERROR("--tcp and --socket are mutually exclusive");
       return 1;
     }
-    int rc;
-    if (args.has("tcp")) {
-      rc = run_tcp_server(server, args);
-    } else if (!socket_path.empty()) {
-      rc = run_socket_server(server, socket_path);
-    } else {
-      rc = run_stdio_server(server);
-    }
+    const int rc = args.has("tcp") || !socket_path.empty() ? run_stream_server(server, args)
+                                                           : run_stdio_server(server);
 
     // Every transport returns with the server drained but still alive, so
     // the final exposition/trace snapshots see all completed requests.
